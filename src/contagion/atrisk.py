@@ -1,27 +1,91 @@
-"""Piecewise-constant decomposition of a series' at-risk timeline.
+"""The one hazard-segment kernel: binning, simulation and forecasting use it.
 
 Between exposure arrivals and delay-bin edges, a user's raw visibility (and
 exposure count) is constant, so per-second quantities aggregate exactly from
 a handful of segments instead of a second-by-second scan.
+
+A message arriving at second s counts toward n_e from s onward but has zero
+delay density until s + 1. In the first-appearance (digg) interface only the
+first exposure drives visibility, nu = p * T(dt_1); in the chronological
+(twitter) interface all exposures combine as nu = 1 - prod(1 - p * T(dt_i)).
+The per-message multiplier p is the susceptibility p_nf, except for the digg
+hazard, which takes p = p0 * p_nf (see :func:`hazard`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from typing import Callable, Sequence
 
 from .events import ExposureSeries
 
 
-@dataclass(frozen=True)
-class RiskSegment:
-    start: int  # first second covered
-    end: int  # exclusive
-    n_e: int  # exposures visible throughout the segment
-    nu: float  # raw visibility: susceptibility times delay density
+def _density(dens, support: int, dt: int) -> float:
+    if dt < 1 or dt >= support:
+        return 0.0
+    # edges are 1, 2, 4, ... (TimeResponseFunction enforces it), so
+    # bit_length locates the delay bin directly
+    return dens[dt.bit_length() - 1]
 
-    @property
-    def seconds(self) -> int:
-        return self.end - self.start
+
+def visibility_at(
+    exposures: Sequence[int], p: float, dens, edges, site: str, s: int
+) -> tuple[int, float]:
+    """(n_e, nu) at second s: exposures at or before s and their raw visibility."""
+    n_e = bisect_right(exposures, s)
+    if n_e == 0:
+        return 0, 0.0
+    support = edges[-1]
+    if site == "digg":
+        return n_e, p * _density(dens, support, s - exposures[0])
+    prod = 1.0
+    for te in exposures[:n_e]:
+        prod *= 1.0 - p * _density(dens, support, s - te)
+    return n_e, 1.0 - prod
+
+
+def visibility_segments(
+    exposures: Sequence[int], p: float, dens, edges, site: str, t_from: int, t_to: int
+) -> list[tuple[int, int, int, float]]:
+    """Constant-visibility runs (start, end, n_e, nu) tiling [t_from, t_to).
+
+    Splits at exposure arrivals and at each driver plus each delay edge; the
+    drivers are every exposure on twitter and only the first one on digg.
+    ``exposures`` must be ascending.
+    """
+    if t_from >= t_to:
+        return []
+    points = {t_from, t_to}
+    for te in exposures:
+        if t_from < te < t_to:
+            points.add(te)
+    for te in exposures if site == "twitter" else exposures[:1]:
+        for e in edges:
+            if t_from < te + e < t_to:
+                points.add(te + e)
+    bounds = sorted(points)
+    return [
+        (a, b, *visibility_at(exposures, p, dens, edges, site, a))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def hazard(
+    site: str, p0: float, v_min: float, factor: Callable[[int], float], n_e: int, nu: float
+) -> float:
+    """Clamped per-second response probability for (n_e, nu).
+
+    Twitter: p0 * F(n_e) * nu + v_min with nu from p = p_nf. Digg:
+    F(n_e) * (nu + v_min) with nu from p = p0 * p_nf. With no exposure yet
+    only the floor remains.
+    """
+    if n_e == 0:
+        raw = v_min
+    elif site == "digg":
+        raw = factor(n_e) * (nu + v_min)
+    else:
+        raw = p0 * factor(n_e) * nu + v_min
+    return 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
 
 
 def risk_segments(
@@ -31,64 +95,10 @@ def risk_segments(
     edges,
     site: str,
     obs_end: int,
-) -> list[RiskSegment]:
-    """Constant-hazard segments covering [first exposure, response or obs_end].
-
-    A message arriving at second s counts toward n_e from s onward but has
-    zero delay density until s + 1. In the first-appearance interface only
-    the first exposure drives visibility; in the chronological interface all
-    exposures combine as 1 - prod(1 - tau_i).
-    """
-    t1 = series.exposure_times[0]
+) -> list[tuple[int, int, int, float]]:
+    """Constant-visibility runs over [first exposure, response or obs_end]."""
+    end = obs_end
     if series.response_time is not None and series.response_time <= obs_end:
         end = series.response_time
-    else:
-        end = obs_end
-    if end < t1:
-        return []
-    expo = [t for t in series.exposure_times if t <= end]
-
-    support = edges[-1]
-    points = {t1, end + 1}
-    drivers = expo if site == "twitter" else expo[:1]
-    for te in expo:
-        if t1 <= te <= end:
-            points.add(te)
-    for te in drivers:
-        for e in edges:
-            s = te + e
-            if t1 < s <= end:
-                points.add(s)
-        s = te + support
-        if t1 < s <= end:
-            points.add(s)
-    bounds = sorted(p for p in points if t1 <= p <= end + 1)
-    if bounds[-1] != end + 1:
-        bounds.append(end + 1)
-
-    if edges[0] != 1:
-        raise ValueError("risk segmentation requires the power-of-two delay grid")
-
-    def density_at(dt: int) -> float:
-        if dt < 1 or dt >= support:
-            return 0.0
-        # edges are powers of two: bit_length locates the bin directly
-        return densities[dt.bit_length() - 1]
-
-    segments: list[RiskSegment] = []
-    for a, b in zip(bounds, bounds[1:]):
-        n_e = 0
-        for te in expo:
-            if te <= a:
-                n_e += 1
-            else:
-                break
-        if site == "digg":
-            nu = p_nf * density_at(a - t1)
-        else:
-            prod = 1.0
-            for te in expo[:n_e]:
-                prod *= 1.0 - p_nf * density_at(a - te)
-            nu = 1.0 - prod
-        segments.append(RiskSegment(start=a, end=b, n_e=n_e, nu=nu))
-    return segments
+    times = series.exposure_times
+    return visibility_segments(times, p_nf, densities, edges, site, times[0], end + 1)

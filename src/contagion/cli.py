@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, inference
 from .binning import log_bin_bounds, log_bin_index
 from .errors import ContagionError
 from .events import (
@@ -28,7 +28,6 @@ from .inference import (
     fit_enhancement,
     fit_enhancement_by_cohort,
     fit_scale_and_floor,
-    fit_scale_floor_and_tail,
     scale_fit_curve,
     visibility_bins,
     wmap_error,
@@ -74,6 +73,10 @@ def _load_inputs(args, diagnostics: IngestDiagnostics):
     return events, graph
 
 
+def _obs_end(args, events) -> int:
+    return args.obs_end if args.obs_end is not None else max(ev.time for ev in events)
+
+
 def _split(events, which: str):
     if which == "all":
         return events
@@ -111,7 +114,7 @@ def cmd_fit(args) -> int:
 
     site = args.site
     horizon = args.trf_horizon
-    obs_end = args.obs_end if args.obs_end is not None else max(ev.time for ev in events)
+    obs_end = _obs_end(args, events)
     single_only = site == "twitter"
     bundle = TrfBundle(
         t1=estimate_trf(series, COHORTS["T1"], single_only, horizon, "T1"),
@@ -128,17 +131,13 @@ def cmd_fit(args) -> int:
     def sus(nf: int) -> float:
         return evaluate_form(form, params, nf)
 
-    if args.joint_e and form == SusceptibilityForm.DIGG:
-        p0, v_min, e_tail = fit_scale_floor_and_tail(series, params, bundle, site, obs_end)
-        params["E"] = e_tail
-        curve.params = params
-    else:
-        fit_curve = scale_fit_curve(series, sus, bundle, site, obs_end,
-                                    min_responses=args.min_fit_responses)
-        p0, v_min = fit_scale_and_floor(fit_curve)
-
-    bins = visibility_bins(series, sus, bundle, site, obs_end)
-    table = fit_enhancement(bins)
+    # One visibility pass feeds the scale fit and the enhancement bins. It is
+    # called through the module so that wrappers installed there see it.
+    raw = inference.collect_visibility_bins(series, sus, bundle, site, obs_end)
+    fit_curve = scale_fit_curve(series, sus, bundle, site, obs_end,
+                                min_responses=args.min_fit_responses, raw=raw)
+    p0, v_min = fit_scale_and_floor(fit_curve)
+    table = fit_enhancement(visibility_bins(series, sus, bundle, site, obs_end, raw=raw))
     table = EnhancementTable(values=dict(table.values), saturates=True)
 
     model = ModelParams(
@@ -152,8 +151,6 @@ def cmd_fit(args) -> int:
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
 
-    fit_curve = scale_fit_curve(series, sus, bundle, site, obs_end,
-                                min_responses=args.min_fit_responses)
     diag = {
         "site": site,
         "events": len(events),
@@ -179,7 +176,7 @@ def cmd_enhance(args) -> int:
     series = build_series(events, graph)
     with open(args.model, encoding="utf-8") as fh:
         model = ModelParams.from_json_dict(json.load(fh))
-    obs_end = args.obs_end if args.obs_end is not None else max(ev.time for ev in events)
+    obs_end = _obs_end(args, events)
     cohorts = [_parse_cohort(c) for c in args.cohorts.split(",")] if args.cohorts else []
     doc = []
     if cohorts:
@@ -226,7 +223,7 @@ def cmd_forecast(args) -> int:
         raise ContagionError(f"model is for {model.site!r}, requested {args.site!r}")
     if args.ablate_enhancement:
         model.enhancement = EnhancementTable(values={1: 1.0}, saturates=True)
-    obs_end = max(ev.time for ev in events)
+    obs_end = _obs_end(args, events)
     points = forecast_points(
         model,
         series,
@@ -341,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(split="train")
     p.add_argument("--trf-horizon", type=int, default=7 * 86400)
     p.add_argument("--min-fit-responses", type=int, default=30)
-    p.add_argument("--joint-e", action="store_true",
-                   help="refit the high-n_f pole offset jointly with scale and floor")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("enhance", help="per-cohort enhancement tables")

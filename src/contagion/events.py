@@ -13,6 +13,7 @@ number of users they follow (out-degree).
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -78,9 +79,6 @@ class ExposureSeries:
             return self.exposure_times
         return tuple(t for t in self.exposure_times if t <= self.response_time)
 
-    def exposures_visible_at(self, t: int) -> tuple[int, ...]:
-        return tuple(s for s in self.exposure_times if s <= t)
-
 
 @dataclass
 class IngestDiagnostics:
@@ -115,6 +113,8 @@ def _parse_line(line: str, lineno: int) -> Event:
         raise EventLogError(f"missing field {exc.args[0]!r}", line=lineno) from exc
     if not isinstance(raw_time, (int, float)) or isinstance(raw_time, bool):
         raise EventLogError(f"time must be numeric, got {raw_time!r}", line=lineno)
+    if isinstance(raw_time, float) and not math.isfinite(raw_time):
+        raise EventLogError(f"non-finite time {raw_time!r}", line=lineno)
     time = int(raw_time)  # sub-second stamps truncate to whole seconds
     if time < 0:
         raise EventLogError(f"negative time {raw_time!r}", line=lineno)
@@ -129,11 +129,7 @@ def load_event_log(
     max_exposures: int = 20,
     diagnostics: IngestDiagnostics | None = None,
 ) -> list[Event]:
-    """Parse an event log, sort by time, and apply the spam cap.
-
-    Every (user, item) pair with ``max_exposures`` or more exposures is
-    dropped entirely, responses and posts included.
-    """
+    """Parse an event log, apply :func:`apply_spam_cap`, and sort by time."""
     events: list[Event] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -142,28 +138,39 @@ def load_event_log(
             events.append(_parse_line(line, lineno))
     if diagnostics is not None:
         diagnostics.parsed_events += len(events)
+    events = apply_spam_cap(events, max_exposures, diagnostics)
+    events.sort(key=lambda ev: ev.time)
+    return events
 
+
+def apply_spam_cap(
+    events: list[Event],
+    max_exposures: int,
+    diagnostics: IngestDiagnostics | None = None,
+) -> list[Event]:
+    """Drop every (user, item) pair with ``max_exposures`` or more exposures.
+
+    The whole pair goes, responses and posts included; order is kept.
+    """
     exposure_counts: dict[tuple[str, str], int] = defaultdict(int)
     for ev in events:
         if ev.kind == "exposure":
             exposure_counts[(ev.user, ev.item)] += 1
     capped = {key for key, n in exposure_counts.items() if n >= max_exposures}
-    if capped:
-        kept = []
-        for ev in events:
-            if (ev.user, ev.item) in capped:
-                if diagnostics is not None:
-                    diagnostics.capped_events += 1
-                    if ev.kind == "exposure":
-                        diagnostics.capped_exposures += 1
-            else:
-                kept.append(ev)
-        events = kept
-        if diagnostics is not None:
-            diagnostics.capped_pairs += len(capped)
-
-    events.sort(key=lambda ev: ev.time)
-    return events
+    if not capped:
+        return events
+    kept = []
+    for ev in events:
+        if (ev.user, ev.item) in capped:
+            if diagnostics is not None:
+                diagnostics.capped_events += 1
+                if ev.kind == "exposure":
+                    diagnostics.capped_exposures += 1
+        else:
+            kept.append(ev)
+    if diagnostics is not None:
+        diagnostics.capped_pairs += len(capped)
+    return kept
 
 
 def write_event_log(path, events: list[Event]) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .atrisk import hazard, visibility_segments
 from .binning import FLOOR_BIN, log_bin_index
 from .errors import ContagionError
 from .events import ExposureSeries
@@ -30,31 +31,6 @@ class ForecastPoint:
             raise ContagionError("window length must be positive")
 
 
-def _per_second_rate(params: ModelParams, n_f: int, p_nf, dens, exposures, s: int) -> float:
-    edges = params.trf.bin_edges
-    support = edges[-1]
-
-    def density(dt: int) -> float:
-        if dt < 1 or dt >= support:
-            return 0.0
-        return dens[dt.bit_length() - 1]
-
-    visible = [te for te in exposures if te <= s]
-    if not visible:
-        return min(max(params.v_min, 0.0), 1.0)
-    n_e = len(visible)
-    if params.site == "digg":
-        raw = params.enhancement.factor(n_e) * (
-            params.p0 * p_nf * density(s - visible[0]) + params.v_min
-        )
-    else:
-        prod = 1.0
-        for te in visible:
-            prod *= 1.0 - p_nf * density(s - te)
-        raw = params.p0 * params.enhancement.factor(n_e) * (1.0 - prod) + params.v_min
-    return min(max(raw, 0.0), 1.0)
-
-
 def forecast_window(
     params: ModelParams,
     series: ExposureSeries,
@@ -73,26 +49,17 @@ def forecast_window(
         raise ContagionError("forecast window must be positive")
     if series.response_time is not None and series.response_time < t:
         raise ContagionError("series already responded before the window")
-    end = t + window  # exclusive
+    site = params.site
     p_nf = params.susceptibility.analytic(series.n_f)
+    p = params.p0 * p_nf if site == "digg" else p_nf
     dens = params.trf.densities_for(series.n_f)
-    edges = params.trf.bin_edges
-    exposures = [te for te in series.exposure_times if te < end]
-
-    points = {t, end}
-    for te in exposures:
-        if t < te < end:
-            points.add(te)
-        if params.site == "twitter" or te == exposures[0]:
-            for e in edges:
-                sp = te + e
-                if t < sp < end:
-                    points.add(sp)
-    bounds = sorted(points)
-
+    v_min = params.v_min
+    runs = visibility_segments(
+        series.exposure_times, p, dens, params.trf.bin_edges, site, t, t + window
+    )
     log_survive = 0.0
-    for a, b in zip(bounds, bounds[1:]):
-        lam = _per_second_rate(params, series.n_f, p_nf, dens, exposures, a)
+    for a, b, n_e, nu in runs:
+        lam = hazard(site, params.p0, v_min, params.enhancement.factor, n_e, nu)
         if lam >= 1.0:
             return 1.0
         if lam > 0.0:

@@ -168,14 +168,14 @@ def collect_visibility_bins(
         p_nf, dens, nu_idx = cached
         segs = risk_segments(s, p_nf, dens, edges, site, obs_end)
         responded = s.response_time is not None and s.response_time <= obs_end
-        for seg in segs:
-            idx = nu_idx.get(seg.nu)
+        for start, end, n_e, nu in segs:
+            idx = nu_idx.get(nu)
             if idx is None:
-                idx = log_bin_index(seg.nu, per_decade) if per_decade is not None else seg.nu
-            cell = out.setdefault(seg.n_e, {}).setdefault(idx, [0, 0, 0.0])
-            cell[0] += seg.seconds
-            cell[2] += seg.nu * seg.seconds
-            if responded and seg.start <= s.response_time < seg.end:
+                idx = log_bin_index(nu, per_decade) if per_decade is not None else nu
+            cell = out.setdefault(n_e, {}).setdefault(idx, [0, 0, 0.0])
+            cell[0] += end - start
+            cell[2] += nu * (end - start)
+            if responded and start <= s.response_time < end:
                 cell[1] += 1
     return out
 
@@ -425,54 +425,3 @@ def fit_enhancement_by_cohort(
             continue
         out[(lo, hi)] = fit_enhancement(bins)
     return out
-
-
-def fit_scale_floor_and_tail(
-    series_list,
-    base_params: dict[str, float],
-    trf: TrfBundle,
-    site: str,
-    obs_end: int,
-    form=None,
-    per_decade: int = 10,
-) -> tuple[float, float, float]:
-    """Joint search over (p0, v_min, E): the high-friend-count pole offset of
-    the five-parameter susceptibility form is refit together with the scale
-    and floor, rebuilding the calibration curve at each candidate E.
-
-    Optional mode; the default pipeline keeps E from the RMS fit.
-    """
-    from .visibility import SusceptibilityForm, evaluate_form
-
-    if form is None:
-        form = SusceptibilityForm.DIGG
-
-    def objective(x) -> float:
-        p0, v, e = (math.exp(v_) for v_ in x)
-        params = dict(base_params, E=e)
-        curve = scale_fit_curve(
-            series_list,
-            lambda nf: evaluate_form(form, params, nf),
-            trf,
-            site,
-            obs_end,
-            per_decade,
-        )
-        return wmap_error(_transposed(curve), p0, v)
-
-    p0_init, v_init = fit_scale_and_floor(
-        scale_fit_curve(
-            series_list,
-            lambda nf: evaluate_form(form, base_params, nf),
-            trf,
-            site,
-            obs_end,
-            per_decade,
-        )
-    )
-    x0 = np.array([math.log(p0_init), math.log(v_init), math.log(base_params["E"])])
-    res = optimize.minimize(
-        objective, x0, method="Nelder-Mead", options={"maxiter": 600, "xatol": 1e-6}
-    )
-    p0, v, e = (math.exp(v_) for v_ in res.x)
-    return p0, v, e

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atrisk import hazard, visibility_at, visibility_segments
 from .errors import ContagionError
-from .events import Event, ExposureSeries, FollowerGraph, build_graph, build_series
+from .events import Event, FollowerGraph, apply_spam_cap, build_graph, build_series
 from .models import ModelParams
 from .visibility import (
     COHORTS,
@@ -256,26 +257,12 @@ class _Hazard:
             self._fcache[n_e] = f
         return f
 
-    def density(self, dens: tuple[float, ...], dt: int) -> float:
-        if dt < 1 or dt >= self.support:
-            return 0.0
-        return dens[dt.bit_length() - 1]
-
     def rate_at(self, n_f: int, exposures: list[int], s: int) -> float:
         """Hazard for one second, for the residual draw at arrival seconds."""
         p_nf, dens = self.for_nf(n_f)
-        n_e = sum(1 for t in exposures if t <= s)
-        if n_e == 0:
-            return 0.0
-        if self.site == "digg":
-            tau = self.p0 * p_nf * self.density(dens, s - exposures[0])
-            raw = self.factor(n_e) * (tau + self.v)
-        else:
-            prod = 1.0
-            for te in exposures[:n_e]:
-                prod *= 1.0 - p_nf * self.density(dens, s - te)
-            raw = self.p0 * self.factor(n_e) * (1.0 - prod) + self.v
-        return min(max(raw, 0.0), 1.0)
+        p = self.p0 * p_nf if self.site == "digg" else p_nf
+        n_e, nu = visibility_at(exposures, p, dens, self.edges, self.site, s)
+        return hazard(self.site, self.p0, self.v, self.factor, n_e, nu)
 
     def _digg_prefix(self, n_f: int, n_e: int):
         key = (n_f, n_e)
@@ -329,35 +316,15 @@ class _Hazard:
         return None
 
     def segments(self, n_f: int, exposures: list[int], start: int) -> list[tuple[int, int, float]]:
-        """Constant-hazard runs over [start, horizon]; exposures all <= start."""
+        """Twitter constant-hazard runs over [start, horizon]; exposures all <= start.
+
+        Digg draws through :meth:`sample_first_driven` instead.
+        """
         p_nf, dens = self.for_nf(n_f)
-        n_e = len(exposures)
-        f = self.factor(n_e)
-        end = self.horizon
-        if start > end:
-            return []
-        points = {start}
-        drivers = exposures[:1] if self.site == "digg" else exposures
-        for te in drivers:
-            for e in self.edges:
-                sp = te + e
-                if start < sp <= end:
-                    points.add(sp)
-        bounds = sorted(points)
-        bounds.append(end + 1)
-        segs = []
-        for a, b in zip(bounds, bounds[1:]):
-            if self.site == "digg":
-                tau = self.p0 * p_nf * self.density(dens, a - exposures[0])
-                raw = f * (tau + self.v)
-            else:
-                prod = 1.0
-                for te in exposures:
-                    prod *= 1.0 - p_nf * self.density(dens, a - te)
-                raw = self.p0 * f * (1.0 - prod) + self.v
-            lam = min(max(raw, 0.0), 1.0)
-            segs.append((a, b, lam))
-        return segs
+        runs = visibility_segments(exposures, p_nf, dens, self.edges, "twitter", start,
+                                   self.horizon + 1)
+        return [(a, b, hazard("twitter", self.p0, self.v, self.factor, n_e, nu))
+                for a, b, n_e, nu in runs]
 
 
 def _sample_response(segments, rng) -> int | None:
@@ -595,17 +562,8 @@ def recovery_experiment(
     events = simulate_cascades(truth, graph)
     train_ev, test_ev = train_test_split(events)
 
-    # Apply the same spam cap the file loader would.
-    def cap(evs: list[Event]) -> list[Event]:
-        counts: dict[tuple[str, str], int] = defaultdict(int)
-        for ev in evs:
-            if ev.kind == "exposure":
-                counts[(ev.user, ev.item)] += 1
-        bad = {k for k, n in counts.items() if n >= max_exposures}
-        return [ev for ev in evs if (ev.user, ev.item) not in bad]
-
-    train_ev = cap(train_ev)
-    test_ev = cap(test_ev)
+    train_ev = apply_spam_cap(train_ev, max_exposures)
+    test_ev = apply_spam_cap(test_ev, max_exposures)
     series = build_series(train_ev, graph)
 
     site = truth.params.site

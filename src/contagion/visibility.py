@@ -43,7 +43,10 @@ EPS_W = 1e-6  # keeps interpolation weights finite at the cohort centers
 
 @dataclass
 class TimeResponseFunction:
-    """Binned response-delay density; mass density[k] * width[k] sums to 1."""
+    """Binned response-delay density; mass density[k] * width[k] sums to 1.
+
+    The edges are the power-of-two grid 1, 2, 4, ... (see ``pow2_edges``).
+    """
 
     cohort_label: str
     bin_edges: tuple[int, ...]
@@ -54,13 +57,11 @@ class TimeResponseFunction:
         self.density = tuple(float(d) for d in self.density)
         if len(self.bin_edges) != len(self.density) + 1:
             raise ContagionError("need one more bin edge than density value")
-        if any(b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-            raise ContagionError("bin edges must be strictly ascending")
+        # the fast paths find a delay's bin from its bit length
+        if self.bin_edges != tuple(1 << k for k in range(len(self.bin_edges))):
+            raise ContagionError(f"bin edges {self.bin_edges} are not 1, 2, 4, ... (powers of two)")
         if any(d < 0 for d in self.density):
             raise ContagionError("densities must be non-negative")
-        widths = self.widths
-        if any(w2 < w1 for w1, w2 in zip(widths, widths[1:])):
-            raise ContagionError("bin widths must be non-decreasing")
         mass = self.total_mass
         if mass > 0 and abs(mass - 1.0) > 1e-9:
             raise ContagionError(f"density mass {mass!r} is not 1")

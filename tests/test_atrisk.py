@@ -1,0 +1,81 @@
+"""Property tests of the hazard-segment kernel against the per-second oracles."""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from contagion.atrisk import hazard, visibility_segments
+from contagion.models import EnhancementTable, ModelParams, digg_probability, twitter_probability
+from contagion.simulate import synthetic_trf
+from contagion.visibility import SusceptibilityCurve, SusceptibilityForm, TrfBundle
+
+DIGG_CONSTANTS = {"A": 7.6e-3, "B": -6.2e-2, "C": 1.7e-3, "D": 3.7, "E": 17.8}
+TWITTER_CONSTANTS = {"A": 0.2, "P": 1.0, "B": 1.0}
+GRID = 64  # delays past the grid's support fall back to the floor
+
+
+def make_params(site: str, p0: float) -> ModelParams:
+    form = SusceptibilityForm.DIGG if site == "digg" else SusceptibilityForm.TWITTER
+    constants = DIGG_CONSTANTS if site == "digg" else TWITTER_CONSTANTS
+    return ModelParams(
+        site=site,
+        p0=p0,
+        log_v_min=-9.0,
+        enhancement=EnhancementTable(values={1: 1.0, 2: 1.5, 3: 0.7}, saturates=True),
+        susceptibility=SusceptibilityCurve(form=form, params=dict(constants)),
+        trf=TrfBundle(
+            t1=synthetic_trf("T1", GRID, gamma=0.8),
+            t10=synthetic_trf("T10", GRID, gamma=1.0),
+            t100=synthetic_trf("T100", GRID, gamma=1.3),
+            site=site,
+        ),
+    )
+
+
+def oracle(params: ModelParams, n_f: int, exposures, s: int) -> float:
+    if params.site == "twitter":
+        return twitter_probability(params, n_f, exposures, s)
+    n_e = sum(1 for te in exposures if te <= s)
+    if n_e == 0:
+        return min(max(params.v_min, 0.0), 1.0)
+    return digg_probability(params, n_f, exposures[0], n_e, s)
+
+
+def kernel_runs(params: ModelParams, n_f: int, exposures, t_from: int, t_to: int):
+    p_nf = params.susceptibility.analytic(n_f)
+    p = params.p0 * p_nf if params.site == "digg" else p_nf
+    dens = params.trf.densities_for(n_f)
+    return visibility_segments(exposures, p, dens, params.trf.bin_edges, params.site,
+                               t_from, t_to)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    site=st.sampled_from(["twitter", "digg"]),
+    p0=st.sampled_from([0.05, 0.6, 40.0, 667.0]),
+    n_f=st.sampled_from([1, 3, 10, 37, 100, 150]),
+    exposures=st.lists(st.integers(5, 200), min_size=1, max_size=6, unique=True).map(sorted),
+    t_from=st.integers(0, 260),
+    length=st.integers(1, 150),
+)
+def test_kernel_tiles_window_and_matches_oracle(site, p0, n_f, exposures, t_from, length):
+    params = make_params(site, p0)
+    t_to = t_from + length
+    runs = kernel_runs(params, n_f, exposures, t_from, t_to)
+
+    assert runs[0][0] == t_from
+    assert runs[-1][1] == t_to
+    for (_, end, _, _), (start, _, _, _) in zip(runs, runs[1:]):
+        assert end == start
+    for a, b, n_e, nu in runs:
+        assert a < b
+        lam = hazard(site, params.p0, params.v_min, params.enhancement.factor, n_e, nu)
+        for s in range(a, b):
+            assert n_e == sum(1 for te in exposures if te <= s)
+            want = oracle(params, n_f, exposures, s)
+            assert math.isclose(lam, want, rel_tol=1e-12), (s, lam, want)
+
+
+def test_empty_window_has_no_segments():
+    params = make_params("twitter", 0.6)
+    assert kernel_runs(params, 10, [3], 20, 20) == []

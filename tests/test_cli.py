@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -148,6 +149,49 @@ def test_forecast_site_mismatch_fails_with_diagnostics(sim_dir, fit_dir, tmp_pat
     ])
     assert rc == 1
     assert "twitter" in (out / "error.txt").read_text()
+
+
+def _forecast(sim_dir, model, out, *extra):
+    out.mkdir()
+    return main([
+        "forecast",
+        "--events", str(sim_dir / "events.jsonl"),
+        "--graph", str(sim_dir / "graph.jsonl"),
+        "--site", "digg",
+        "--model", str(model),
+        "--eval-horizon", "900",
+        "--out", str(out),
+        *extra,
+    ])
+
+
+def test_forecast_rejects_non_power_of_two_grid(sim_dir, fit_dir, tmp_path):
+    with open(fit_dir / "model.json") as fh:
+        doc = json.load(fh)
+    for key in ("t1", "t10", "t100"):
+        doc["trf"][key]["bin_edges"] = [1, 3, 5, 9]
+        doc["trf"][key]["density"] = [0.25, 0.125, 0.0625]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "fc"
+    assert _forecast(sim_dir, bad, out) == 1
+    assert "powers of two" in (out / "error.txt").read_text()
+
+
+def test_forecast_obs_end_truncates_windows(sim_dir, fit_dir, tmp_path):
+    def starts(out):
+        with open(out / "forecasts.csv") as fh:
+            return [(row["user"], row["item"], int(row["window_start"]), row["predicted"])
+                    for row in csv.DictReader(fh)]
+
+    assert _forecast(sim_dir, fit_dir / "model.json", tmp_path / "full") == 0
+    full = starts(tmp_path / "full")
+    obs_end = sorted(t for _, _, t, _ in full)[len(full) // 2]
+    assert _forecast(sim_dir, fit_dir / "model.json", tmp_path / "cut",
+                     "--obs-end", str(obs_end)) == 0
+    cut = starts(tmp_path / "cut")
+    assert 0 < len(cut) < len(full)
+    assert cut == [row for row in full if row[2] <= obs_end]
 
 
 def test_enhance_writes_cohort_tables(sim_dir, fit_dir, tmp_path):

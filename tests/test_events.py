@@ -61,6 +61,19 @@ def test_negative_time_errors_with_line_number(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("raw_time", ["NaN", "1e400"])
+def test_non_finite_time_errors_with_line_number(tmp_path, raw_time):
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"kind": "post", "user": "a", "item": "x", "time": 1}\n'
+        f'{{"kind": "exposure", "user": "a", "item": "x", "time": {raw_time}, "exposer": "b"}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(EventLogError) as err:
+        load_event_log(path)
+    assert err.value.line == 2
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     write_lines(path, [{"kind": "retweet", "user": "a", "item": "x", "time": 1}])

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from contagion.errors import BinMismatchError, EmptyCohortError, FitError
+from contagion.errors import BinMismatchError, ContagionError, EmptyCohortError, FitError
 from contagion.events import ExposureSeries
 from contagion.visibility import (
     COHORTS,
@@ -83,6 +83,12 @@ class TestTimeResponseFunction:
     def test_mass_validation(self):
         with pytest.raises(Exception):
             TimeResponseFunction("T1", (1, 2, 4), (0.9, 0.9))
+
+    def test_non_power_of_two_grid_rejected(self):
+        # the fast paths locate delay bins by bit length; (1, 3, 5, 9) would
+        # silently read the wrong bin
+        with pytest.raises(ContagionError, match="powers of two"):
+            TimeResponseFunction("T1", (1, 3, 5, 9), (0.25, 0.125, 0.0625))
 
     def test_density_at_outside_support_is_zero(self):
         trf = TimeResponseFunction("T1", (1, 2, 4), (0.5, 0.25))
