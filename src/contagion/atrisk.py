@@ -17,15 +17,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Sequence
 
+from .binning import delay_bin
 from .events import ExposureSeries
 
 
 def _density(dens, support: int, dt: int) -> float:
     if dt < 1 or dt >= support:
         return 0.0
-    # edges are 1, 2, 4, ... (TimeResponseFunction enforces it), so
-    # bit_length locates the delay bin directly
-    return dens[dt.bit_length() - 1]
+    # edges are 1, 2, 4, ... (TimeResponseFunction enforces it)
+    return dens[delay_bin(dt)]
 
 
 def visibility_at(

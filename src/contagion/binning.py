@@ -8,6 +8,9 @@ import math
 # log grid; they get this sentinel bin index instead.
 FLOOR_BIN = -(2**31)
 
+# Log bins per decade, for visibility bins and for calibration bins alike.
+PER_DECADE = 10
+
 
 def pow2_edges(horizon: int) -> list[int]:
     """Delay-bin edges 1, 2, 4, ... up to the first power of two >= horizon.
@@ -24,23 +27,28 @@ def pow2_edges(horizon: int) -> list[int]:
     return edges
 
 
-def log_bin_index(x: float, per_decade: int = 10) -> int:
+def delay_bin(dt: int) -> int:
+    """Index k of the power-of-two delay bin [2**k, 2**(k+1)) holding dt >= 1."""
+    return dt.bit_length() - 1
+
+
+def log_bin_index(x: float) -> int:
     """Index of the log-spaced bin containing x > 0; FLOOR_BIN for x == 0."""
     if x < 0:
         raise ValueError(f"log binning needs x >= 0, got {x}")
     if x == 0.0:
         return FLOOR_BIN
-    return math.floor(math.log10(x) * per_decade)
+    return math.floor(math.log10(x) * PER_DECADE)
 
 
-def log_bin_center(index: int, per_decade: int = 10) -> float:
+def log_bin_center(index: int) -> float:
     """Geometric center of a log bin; 0.0 for the floor bin."""
     if index == FLOOR_BIN:
         return 0.0
-    return 10.0 ** ((index + 0.5) / per_decade)
+    return 10.0 ** ((index + 0.5) / PER_DECADE)
 
 
-def log_bin_bounds(index: int, per_decade: int = 10) -> tuple[float, float]:
+def log_bin_bounds(index: int) -> tuple[float, float]:
     if index == FLOOR_BIN:
         return (0.0, 0.0)
-    return (10.0 ** (index / per_decade), 10.0 ** ((index + 1) / per_decade))
+    return (10.0 ** (index / PER_DECADE), 10.0 ** ((index + 1) / PER_DECADE))

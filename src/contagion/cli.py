@@ -23,14 +23,13 @@ from .events import (
     write_event_log,
     write_follow_edges,
 )
-from .forecast import calibration, forecast_points
+from .forecast import ForecastPoint, calibration, forecast_points
 from .inference import (
     fit_enhancement,
     fit_enhancement_by_cohort,
     fit_scale_and_floor,
     scale_fit_curve,
     visibility_bins,
-    wmap_error,
 )
 from .models import EnhancementTable, ModelParams
 from .simulate import (
@@ -42,7 +41,6 @@ from .simulate import (
 )
 from .visibility import (
     COHORTS,
-    SusceptibilityCurve,
     SusceptibilityForm,
     TrfBundle,
     estimate_susceptibility,
@@ -63,7 +61,19 @@ def _out_dir(path: str) -> Path:
 
 def _parse_cohort(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("-")
-    return (int(lo), int(hi or lo))
+    try:
+        return (int(lo), int(hi or lo))
+    except ValueError:
+        raise ContagionError(f"friend-count band {text!r} is not N or N-M") from None
+
+
+def _read_json_doc(path, from_json_dict):
+    """Load a JSON file through ``from_json_dict``; malformed content is a ContagionError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return from_json_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContagionError(f"{path}: malformed document ({exc!r})") from exc
 
 
 def _load_inputs(args, diagnostics: IngestDiagnostics):
@@ -86,8 +96,7 @@ def _split(events, which: str):
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
-    with open(args.config, encoding="utf-8") as fh:
-        truth = GroundTruth.from_json_dict(json.load(fh))
+    truth = _read_json_doc(args.config, GroundTruth.from_json_dict)
     if args.seed is not None:
         truth.rng_seed = args.seed
     graph = generate_graph(truth.graph, truth.rng_seed)
@@ -174,8 +183,7 @@ def cmd_enhance(args) -> int:
     events, graph = _load_inputs(args, diagnostics)
     events = _split(events, args.split)
     series = build_series(events, graph)
-    with open(args.model, encoding="utf-8") as fh:
-        model = ModelParams.from_json_dict(json.load(fh))
+    model = _read_json_doc(args.model, ModelParams.from_json_dict)
     obs_end = _obs_end(args, events)
     cohorts = [_parse_cohort(c) for c in args.cohorts.split(",")] if args.cohorts else []
     doc = []
@@ -199,10 +207,7 @@ def _write_calibration(out: Path, curve, wmap: float) -> None:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "predicted_mean", "observed", "trials"])
         for pt in curve.points:
-            if pt.predicted > 0:
-                lo, hi = log_bin_bounds(log_bin_index(pt.predicted))
-            else:
-                lo, hi = 0.0, 0.0
+            lo, hi = log_bin_bounds(log_bin_index(pt.predicted))
             writer.writerow([f"{lo:.6g}", f"{hi:.6g}", f"{pt.predicted:.6g}",
                              f"{pt.observed:.6g}", pt.trials])
     with open(out / "wmap.txt", "w", encoding="utf-8") as fh:
@@ -217,8 +222,7 @@ def cmd_forecast(args) -> int:
     series = build_series(events, graph)
     if not series:
         raise ContagionError("no series to forecast")
-    with open(args.model, encoding="utf-8") as fh:
-        model = ModelParams.from_json_dict(json.load(fh))
+    model = _read_json_doc(args.model, ModelParams.from_json_dict)
     if model.site != args.site:
         raise ContagionError(f"model is for {model.site!r}, requested {args.site!r}")
     if args.ablate_enhancement:
@@ -246,12 +250,10 @@ def cmd_forecast(args) -> int:
 
 def cmd_calibrate(args) -> int:
     out = _out_dir(args.out)
-    from .forecast import ForecastPoint
-
-    points = []
     with open(args.forecasts, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            points.append(
+        rows = csv.DictReader(fh)
+        try:
+            points = [
                 ForecastPoint(
                     user=row["user"],
                     item=row["item"],
@@ -260,7 +262,12 @@ def cmd_calibrate(args) -> int:
                     predicted=float(row["predicted"]),
                     responded=bool(int(row["outcome"])),
                 )
-            )
+                for row in rows
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContagionError(
+                f"{args.forecasts} line {rows.line_num}: bad row ({exc!r})"
+            ) from exc
     curve, wmap = calibration(points, with_wmap=True)
     _write_calibration(out, curve, wmap)
     print(f"calibration over {len(points)} forecasts, wmap={wmap:.4f} -> {out}")
@@ -269,8 +276,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     out = _out_dir(args.out)
-    with open(args.config, encoding="utf-8") as fh:
-        truth = GroundTruth.from_json_dict(json.load(fh))
+    truth = _read_json_doc(args.config, GroundTruth.from_json_dict)
     if args.seed is not None:
         truth.rng_seed = args.seed
     cohort = _parse_cohort(args.enhancement_cohort) if args.enhancement_cohort else None
@@ -279,7 +285,6 @@ def cmd_validate(args) -> int:
         max_exposures=args.max_exposures,
         trf_horizon=args.trf_horizon,
         enhancement_cohort=cohort,
-        evaluate_test_wmap=args.test_wmap,
     )
     doc = {
         "events_total": report.events_total,
@@ -299,7 +304,6 @@ def cmd_validate(args) -> int:
             for n in sorted(report.enhancement_true)
         },
         "susceptibility_shape_rel_err": report.susceptibility_shape_errors,
-        "test_wmap": report.test_wmap,
     }
     with open(out / "recovery.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -366,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exposures", type=int, default=20)
     p.add_argument("--trf-horizon", type=int, default=None)
     p.add_argument("--enhancement-cohort", default="", help='friend-count band, e.g. "30-30"')
-    p.add_argument("--test-wmap", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)
     return parser
@@ -378,7 +381,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContagionError as exc:
+    except (ContagionError, OSError) as exc:
         out = getattr(args, "out", None)
         if out and Path(out).is_dir():
             with open(Path(out) / "error.txt", "w", encoding="utf-8") as fh:

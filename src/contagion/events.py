@@ -43,7 +43,7 @@ class FollowerGraph:
     friend_count: dict[str, int] = field(default_factory=dict)
 
     def followers_of(self, user: str) -> list[str]:
-        # Built lazily; simulation uses its own adjacency arrays instead.
+        # Scans every edge on each call; simulation builds its own adjacency lists.
         out = [f for (f, friend) in self.edges if friend == user]
         out.sort()
         return out

@@ -117,15 +117,15 @@ def forecast_points(
 
 def calibration(
     points: list[ForecastPoint],
-    per_decade: int = 10,
     min_trials: int = MIN_TRIALS,
     with_wmap: bool = False,
 ):
     """Reliability curve: observed response frequency per predicted-probability bin.
 
-    Bins are log-spaced. The summary error (trial-weighted mean absolute
-    percent deviation of observed from predicted) uses only bins with at
-    least ``min_trials`` trials; if none qualify it falls back to all bins.
+    Bins are log-spaced, ``PER_DECADE`` per decade. The summary error
+    (trial-weighted mean absolute percent deviation of observed from
+    predicted) uses only bins with at least ``min_trials`` trials; if none
+    qualify it falls back to all bins.
     Zero-prediction forecasts pool into a floor bin that never enters the
     summary error (a percent error at predicted 0 is undefined).
     """
@@ -133,7 +133,7 @@ def calibration(
         raise ContagionError("no forecast points to calibrate")
     cells: dict[int, list] = {}
     for pt in points:
-        idx = log_bin_index(pt.predicted, per_decade)
+        idx = log_bin_index(pt.predicted)
         cell = cells.setdefault(idx, [0, 0, 0.0])
         cell[0] += 1
         cell[1] += 1 if pt.responded else 0

@@ -28,6 +28,10 @@ from .visibility import TrfBundle
 logger = logging.getLogger(__name__)
 
 MIN_TRIALS = 30  # calibration points below this are flagged, not fitted
+MIN_BASELINE_RESPONSES = 50  # exact cells pool until their n_e = 1 part has this many
+# log10 ranges of the coarse (p0, v_min) grid that seeds the simplex descent
+GRID_LOG10_P0 = (-4.0, 5.0)
+GRID_LOG10_V = (-12.0, -0.5)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class VisibilityBin:
     trials: int
     responses: int
     mean_nu: float = 0.0
-    index: int | float = FLOOR_BIN  # log-bin index, or the exact nu value
+    index: int = FLOOR_BIN  # log-bin index, or the pool of pooled exact cells
 
     def __post_init__(self):
         if not 0 <= self.responses <= self.trials:
@@ -88,11 +92,7 @@ def _transposed(curve: CalibrationCurve) -> CalibrationCurve:
     )
 
 
-def fit_scale_and_floor(
-    curve: CalibrationCurve,
-    grid_log10_p0: tuple[float, float] = (-4.0, 5.0),
-    grid_log10_v: tuple[float, float] = (-12.0, -0.5),
-) -> tuple[float, float]:
+def fit_scale_and_floor(curve: CalibrationCurve) -> tuple[float, float]:
     """Fit (p0, v_min) so that p0 * predicted + v_min tracks observed.
 
     Points are (computed raw visibility, observed response rate, trials) from
@@ -107,8 +107,8 @@ def fit_scale_and_floor(
     target = _transposed(curve)
 
     best = None
-    for lg_p0 in np.arange(grid_log10_p0[0], grid_log10_p0[1] + 1e-9, 0.25):
-        for lg_v in np.arange(grid_log10_v[0], grid_log10_v[1] + 1e-9, 0.25):
+    for lg_p0 in np.arange(GRID_LOG10_P0[0], GRID_LOG10_P0[1] + 1e-9, 0.25):
+        for lg_v in np.arange(GRID_LOG10_V[0], GRID_LOG10_V[1] + 1e-9, 0.25):
             err = wmap_error(target, 10.0**lg_p0, 10.0**lg_v)
             if best is None or err < best[0]:
                 best = (err, lg_p0, lg_v)
@@ -139,16 +139,16 @@ def collect_visibility_bins(
     trf: TrfBundle,
     site: str,
     obs_end: int,
-    per_decade: int | None = 10,
+    exact: bool = False,
 ) -> dict[int, dict]:
     """Aggregate at-risk seconds into raw-visibility bins per exposure count.
 
     Returns {n_e: {bin_key: [trials, responses, sum_nu]}}. Each at-risk
     second is one Bernoulli trial; the response second is a success trial.
-    Seconds whose computed visibility is exactly zero pool into the floor
-    bin. With ``per_decade=None`` every distinct computed visibility value
-    keys its own cell (exact matching across exposure counts, at the cost of
-    many small cells).
+    Bins are log-spaced (``PER_DECADE`` per decade); seconds whose computed
+    visibility is exactly zero pool into the floor bin. With ``exact`` every
+    distinct computed visibility value keys its own cell instead (exact
+    matching across exposure counts, at the cost of many small cells).
     """
     edges = trf.bin_edges
     out: dict[int, dict] = {}
@@ -159,19 +159,18 @@ def collect_visibility_bins(
             p_nf = susceptibility(s.n_f)
             dens = trf.densities_for(s.n_f)
             # single-message nu values repeat per delay bin: index them once
-            nu_idx = {0.0: FLOOR_BIN if per_decade is not None else 0.0}
-            for d in dens:
-                nu = p_nf * d
-                nu_idx[nu] = log_bin_index(nu, per_decade) if per_decade is not None else nu
+            nu_idx = {} if exact else {
+                nu: log_bin_index(nu) for nu in (0.0, *(p_nf * d for d in dens))
+            }
             cached = (p_nf, dens, nu_idx)
             dens_cache[s.n_f] = cached
         p_nf, dens, nu_idx = cached
         segs = risk_segments(s, p_nf, dens, edges, site, obs_end)
         responded = s.response_time is not None and s.response_time <= obs_end
         for start, end, n_e, nu in segs:
-            idx = nu_idx.get(nu)
+            idx = nu if exact else nu_idx.get(nu)
             if idx is None:
-                idx = log_bin_index(nu, per_decade) if per_decade is not None else nu
+                idx = log_bin_index(nu)
             cell = out.setdefault(n_e, {}).setdefault(idx, [0, 0, 0.0])
             cell[0] += end - start
             cell[2] += nu * (end - start)
@@ -186,7 +185,6 @@ def visibility_bins(
     trf: TrfBundle,
     site: str,
     obs_end: int,
-    per_decade: int | None = 10,
     raw: dict[int, dict] | None = None,
 ) -> dict[int, list[VisibilityBin]]:
     """Visibility-binned trial/response counts keyed by exposure count.
@@ -197,7 +195,7 @@ def visibility_bins(
     existing :func:`collect_visibility_bins` pass.
     """
     if raw is None:
-        raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end, per_decade)
+        raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end)
     base = raw.get(1, {})
     usable = {idx for idx, (n, r, _) in base.items() if n > 0 and r > 0}
     out: dict[int, list[VisibilityBin]] = {}
@@ -206,10 +204,9 @@ def visibility_bins(
         for idx, (n, r, snu) in sorted(cells.items()):
             if n_e > 1 and idx not in usable:
                 continue
-            label = log_bin_center(idx, per_decade) if per_decade is not None else float(idx)
             bins.append(
                 VisibilityBin(
-                    nu=label,
+                    nu=log_bin_center(idx),
                     trials=n,
                     responses=r,
                     mean_nu=snu / n if n else 0.0,
@@ -227,22 +224,17 @@ def pooled_visibility_bins(
     trf: TrfBundle,
     site: str,
     obs_end: int,
-    min_baseline_responses: int = 50,
-    raw: dict[int, dict] | None = None,
 ) -> dict[int, list[VisibilityBin]]:
     """Exact visibility cells pooled until each has a well-measured baseline.
 
     Every distinct computed-visibility value is first kept as its own cell
     (exact matching across exposure counts); adjacent cells in nu order then
     merge until the pooled n_e = 1 cell holds at least
-    ``min_baseline_responses`` responses. Pooling keys on the baseline only,
+    ``MIN_BASELINE_RESPONSES`` responses. Pooling keys on the baseline only,
     never on higher-count outcomes, so it introduces no selection on the
     quantity being estimated. The zero-visibility floor pools separately.
     """
-    if raw is None:
-        raw = collect_visibility_bins(
-            series_list, susceptibility, trf, site, obs_end, per_decade=None
-        )
+    raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end, exact=True)
     base = raw.get(1, {})
     if not base:
         raise ContagionError("need n_e = 1 cells to calibrate the baseline")
@@ -254,7 +246,7 @@ def pooled_visibility_bins(
     for i, nu in enumerate(positive):
         pools[nu] = pool_id
         acc += base[nu][1]
-        if acc >= min_baseline_responses and i != len(positive) - 1:
+        if acc >= MIN_BASELINE_RESPONSES and i != len(positive) - 1:
             pool_id += 1
             acc = 0
     floor_pool = -1  # distinct key; the floor never merges with positive nu
@@ -292,7 +284,6 @@ def scale_fit_curve(
     trf: TrfBundle,
     site: str,
     obs_end: int,
-    per_decade: int = 10,
     min_trials: int = MIN_TRIALS,
     min_responses: int = 1,
     raw: dict[int, dict[int, list]] | None = None,
@@ -306,7 +297,7 @@ def scale_fit_curve(
     response count, so sparse-response bins carry mostly noise.
     """
     if raw is None:
-        raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end, per_decade)
+        raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end)
     pts = []
     for idx, (n, r, snu) in sorted(raw.get(1, {}).items()):
         # The floor bin is structural (all beyond-support seconds pool into
@@ -407,7 +398,6 @@ def fit_enhancement_by_cohort(
     trf: TrfBundle,
     site: str,
     obs_end: int,
-    per_decade: int = 10,
 ) -> dict[tuple[int, int], "EnhancementTable"]:
     """Independent enhancement MLE per friend-count band.
 
@@ -419,7 +409,7 @@ def fit_enhancement_by_cohort(
         if not subset:
             logger.warning("cohort n_f in [%d, %d] has no series; skipped", lo, hi)
             continue
-        bins = visibility_bins(subset, susceptibility, trf, site, obs_end, per_decade)
+        bins = visibility_bins(subset, susceptibility, trf, site, obs_end)
         if 1 not in bins:
             logger.warning("cohort n_f in [%d, %d] has no baseline bins; skipped", lo, hi)
             continue

@@ -31,6 +31,7 @@ from .visibility import (
     TrfBundle,
     estimate_susceptibility,
     estimate_trf,
+    evaluate_form,
     fit_susceptibility_analytic,
 )
 from .binning import pow2_edges
@@ -237,7 +238,6 @@ class _Hazard:
         self.edges = params.trf.bin_edges
         self.support = self.edges[-1]
         self.horizon = horizon
-        self._dens: dict[int, tuple[float, ...]] = {}
         self._pnf: dict[int, float] = {}
         self._fcache: dict[int, float] = {}
         # first-exposure-driven hazard factorizes: cache log-survival
@@ -247,8 +247,7 @@ class _Hazard:
     def for_nf(self, n_f: int) -> tuple[float, tuple[float, ...]]:
         if n_f not in self._pnf:
             self._pnf[n_f] = self.params.susceptibility.analytic(n_f)
-            self._dens[n_f] = tuple(self.params.trf.densities_for(n_f))
-        return self._pnf[n_f], self._dens[n_f]
+        return self._pnf[n_f], self.params.trf.densities_for(n_f)
 
     def factor(self, n_e: int) -> float:
         f = self._fcache.get(n_e)
@@ -270,16 +269,13 @@ class _Hazard:
         if hit is not None:
             return hit
         p_nf, dens = self.for_nf(n_f)
-        f = self.factor(n_e)
-        floor = min(max(f * self.v, 0.0), 1.0 - 1e-12)
+        p = self.p0 * p_nf
         bounds = [0] + list(self.edges) + [1 << 62]
         slopes = []
         for i in range(len(bounds) - 1):
-            if 1 <= i <= len(dens):
-                lam = f * (self.p0 * p_nf * dens[i - 1] + self.v)
-                lam = min(max(lam, 0.0), 1.0 - 1e-12)
-            else:
-                lam = floor  # arrival second and beyond the delay support
+            # no visibility in the arrival second or beyond the delay support
+            nu = p * dens[i - 1] if 1 <= i <= len(dens) else 0.0
+            lam = min(hazard("digg", self.p0, self.v, self.factor, n_e, nu), 1.0 - 1e-12)
             slopes.append(math.log1p(-lam))
         cum = [0.0]
         for i, l in enumerate(slopes):
@@ -492,7 +488,6 @@ class RecoveryReport:
     enhancement_true: dict[int, float]
     enhancement_est: dict[int, float]
     susceptibility_shape_errors: dict[int, float] = field(default_factory=dict)
-    test_wmap: float | None = None
 
     @property
     def p0_rel_err(self) -> float:
@@ -525,30 +520,23 @@ class RecoveryReport:
                 )
         for nf, err in sorted(self.susceptibility_shape_errors.items()):
             lines.append(f"susceptibility shape @ n_f={nf}: rel_err={err:.3%}")
-        if self.test_wmap is not None:
-            lines.append(f"held-out forecast wmap={self.test_wmap:.3%}")
         return lines
 
 
 def recovery_experiment(
     truth: GroundTruth,
     max_exposures: int = 20,
-    susceptibility_source: str = "truth",
-    evaluate_test_wmap: bool = False,
-    forecast_eval_horizon: int = 1800,
     trf_horizon: int | None = None,
     min_fit_responses: int = 30,
     enhancement_cohort: tuple[int, int] | None = None,
-    enhancement_obs_end: int | None = None,
 ) -> RecoveryReport:
     """Simulate, ingest, and re-estimate every model parameter.
 
     The scale/floor fit computes raw visibility from the truth's
-    susceptibility curve by default: the empirical single-exposure response
-    rate absorbs the p0 scale (only the product is identified from one
-    dataset), mirroring a pipeline where the susceptibility constants come
-    from a prior measurement. Set ``susceptibility_source="estimated"`` to
-    use the freshly fitted curve instead and recover p0 up to that scale.
+    susceptibility curve: the empirical single-exposure response rate
+    absorbs the p0 scale (only the product is identified from one dataset),
+    mirroring a pipeline where the susceptibility constants come from a
+    prior measurement. The fitted curve is checked for shape only.
     """
     from .inference import (
         collect_visibility_bins,
@@ -579,8 +567,6 @@ def recovery_experiment(
 
     sus_emp = estimate_susceptibility(series)
     form = SusceptibilityForm.DIGG if site == "digg" else SusceptibilityForm.TWITTER
-    from .visibility import evaluate_form
-
     sus_params = fit_susceptibility_analytic(sus_emp, form)
     shape_errors: dict[int, float] = {}
     ref = 10
@@ -591,13 +577,7 @@ def recovery_experiment(
         true = truth.params.susceptibility.analytic(nf) / true_ref
         shape_errors[nf] = abs(est - true) / abs(true)
 
-    if susceptibility_source == "truth":
-        sus_fn = truth.params.susceptibility.analytic
-    elif susceptibility_source == "estimated":
-        sus_fn = lambda nf: evaluate_form(form, sus_params, nf)  # noqa: E731
-    else:
-        raise ContagionError(f"unknown susceptibility_source {susceptibility_source!r}")
-
+    sus_fn = truth.params.susceptibility.analytic
     raw_bins = collect_visibility_bins(series, sus_fn, trf_est, site, horizon)
     curve = scale_fit_curve(
         series, sus_fn, trf_est, site, horizon,
@@ -609,38 +589,13 @@ def recovery_experiment(
     # exact visibility cells pooled to a well-measured baseline, optionally
     # restricted to one friend-count band the way the per-cohort analysis
     # slices it.
-    f_end = enhancement_obs_end if enhancement_obs_end is not None else horizon
     if enhancement_cohort is not None:
         lo, hi = enhancement_cohort
         f_series = [s for s in series if lo <= s.n_f <= hi]
     else:
         f_series = series
-    bins = pooled_visibility_bins(f_series, sus_fn, trf_est, site, f_end)
+    bins = pooled_visibility_bins(f_series, sus_fn, trf_est, site, horizon)
     table = fit_enhancement(bins)
-
-    test_wmap = None
-    if evaluate_test_wmap:
-        from .forecast import calibration, forecast_points
-        from .models import EnhancementTable, ModelParams as MP
-        from .visibility import SusceptibilityCurve
-
-        if susceptibility_source == "truth":
-            sus_curve = truth.params.susceptibility
-        else:
-            sus_curve = SusceptibilityCurve(
-                empirical=dict(sus_emp.empirical), form=form, params=sus_params
-            )
-        fitted = MP(
-            site=site,
-            p0=p0_est,
-            log_v_min=math.log(v_est),
-            enhancement=EnhancementTable(values=dict(table.values), saturates=True),
-            susceptibility=sus_curve,
-            trf=trf_est,
-        )
-        test_series = build_series(test_ev, graph)
-        pts = forecast_points(fitted, test_series, eval_horizon=forecast_eval_horizon)
-        _, test_wmap = calibration(pts, with_wmap=True)
 
     responses = sum(1 for ev in events if ev.kind == "response")
     return RecoveryReport(
@@ -655,5 +610,4 @@ def recovery_experiment(
         enhancement_true=dict(truth.params.enhancement.values),
         enhancement_est=dict(table.values),
         susceptibility_shape_errors=shape_errors,
-        test_wmap=test_wmap,
     )

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 from scipy import optimize
 
-from .binning import pow2_edges
+from .binning import delay_bin, pow2_edges
 from .errors import (
     BinMismatchError,
     ContagionError,
@@ -39,6 +39,7 @@ COHORT_CENTERS: dict[str, int] = {"T1": 1, "T10": 10, "T100": 100}
 
 WEEK = 7 * 86400
 EPS_W = 1e-6  # keeps interpolation weights finite at the cohort centers
+MAX_RESTARTS = 6  # simplex restarts of the susceptibility fit
 
 
 @dataclass
@@ -125,7 +126,7 @@ def estimate_trf(
             dt = 1  # same-second responses land in the first one-second bin
         if dt > horizon:
             continue
-        k = int(np.searchsorted(edges, dt, side="right")) - 1
+        k = delay_bin(dt)
         if k >= len(counts):
             continue
         counts[k] += 1
@@ -174,7 +175,7 @@ def interpolate_trf(
     return num / (w1 + w10 + w100)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrfBundle:
     """The three cohort response functions plus the interpolation rule."""
 
@@ -182,6 +183,10 @@ class TrfBundle:
     t10: TimeResponseFunction
     t100: TimeResponseFunction
     site: str
+    # densities_for memo; the bundle is frozen, so it cannot go stale
+    _densities: dict[int, tuple[float, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if not (self.t1.bin_edges == self.t10.bin_edges == self.t100.bin_edges):
@@ -194,15 +199,19 @@ class TrfBundle:
     def density_at(self, dt: float, n_f: int) -> float:
         return interpolate_trf(self.t1, self.t10, self.t100, n_f, self.site, dt)
 
-    def densities_for(self, n_f: int) -> np.ndarray:
-        """Interpolated per-bin densities for one friend count."""
-        w1, w10, w100 = _interpolation_weights(n_f, self.site)
-        stack = (
-            w1 * np.asarray(self.t1.density)
-            + w10 * np.asarray(self.t10.density)
-            + w100 * np.asarray(self.t100.density)
-        )
-        return stack / (w1 + w10 + w100)
+    def densities_for(self, n_f: int) -> tuple[float, ...]:
+        """Interpolated per-bin densities for one friend count (memoized)."""
+        dens = self._densities.get(n_f)
+        if dens is None:
+            w1, w10, w100 = _interpolation_weights(n_f, self.site)
+            stack = (
+                w1 * np.asarray(self.t1.density)
+                + w10 * np.asarray(self.t10.density)
+                + w100 * np.asarray(self.t100.density)
+            )
+            dens = tuple(stack / (w1 + w10 + w100))
+            self._densities[n_f] = dens
+        return dens
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,9 +339,7 @@ def _rms_log_error(form, params, points) -> float:
 
 
 def fit_susceptibility_analytic(
-    curve: SusceptibilityCurve,
-    form: SusceptibilityForm,
-    max_restarts: int = 6,
+    curve: SusceptibilityCurve, form: SusceptibilityForm
 ) -> dict[str, float]:
     """Fit the closed form to the empirical curve by RMS error in log space.
 
@@ -371,7 +378,7 @@ def fit_susceptibility_analytic(
     best = None
     converged = False
     prev_fun = math.inf
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         res = optimize.minimize(
             objective,
             x,
@@ -392,7 +399,7 @@ def fit_susceptibility_analytic(
         params["D"], params["E"] = params["E"], params["D"]
     if not converged or not math.isfinite(best.fun):
         raise FitConvergenceError(
-            f"no convergence after {max_restarts} restarts (rms {best.fun:g})",
+            f"no convergence after {MAX_RESTARTS} restarts (rms {best.fun:g})",
             best_params=params,
         )
     return params

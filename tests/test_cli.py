@@ -252,3 +252,110 @@ def test_ablation_flag_changes_forecasts(sim_dir, fit_dir, tmp_path):
         assert rc == 0
         outs.append(sha(out / "forecasts.csv"))
     assert outs[0] != outs[1]
+
+
+def _twitter_truth_config(path):
+    trf = TrfBundle(
+        t1=synthetic_trf("T1", 1024, gamma=0.85),
+        t10=synthetic_trf("T10", 1024, gamma=1.0),
+        t100=synthetic_trf("T100", 1024, gamma=1.25),
+        site="twitter",
+    )
+    truth = GroundTruth(
+        params=ModelParams(
+            site="twitter",
+            p0=0.1,
+            log_v_min=-19.0,
+            enhancement=EnhancementTable(values={1: 1.0, 2: 1.5, 3: 1.8}, saturates=True),
+            susceptibility=SusceptibilityCurve(
+                form=SusceptibilityForm.TWITTER, params={"A": 0.2, "P": 1.0, "B": 0.0}
+            ),
+            trf=trf,
+        ),
+        graph=GraphSpec(
+            users=1500,
+            kind="bands",
+            bands=((900, 1, 2), (135, 9, 11), (375, 30, 30), (45, 90, 110)),
+        ),
+        seeding=Seeding(items=20, posters_per_item=20, post_time_spread=60),
+        horizon=2048,
+        rng_seed=5,
+    )
+    with open(path, "w") as fh:
+        json.dump(truth.to_json_dict(), fh)
+
+
+# SHA-256 of each pipeline output; any change to them is a change in behaviour.
+PINNED = {
+    "digg": {
+        "events.jsonl": "9c660681d61e199096e627ed589abec1338b438d3d3ccacee54a3baea3985308",
+        "model.json": "2f15908837b913ad2da199aab40a090a44d49a69fa50491852527d2118586b14",
+        "forecasts.csv": "5ec859305a96588e99abc7d91d0f1df80b640e1a12927963562f386e442508c8",
+    },
+    "twitter": {
+        "events.jsonl": "3741216068553a9c65d12f1a1bf5bbdf7be6d83e01fdfb4f646db1851f968091",
+        "model.json": "98c3f657449601da852dde2314ef1a91158fd19c5dc3555ae730386defd863ce",
+        "forecasts.csv": "7ae741445013f464c6efa5ce5e7424e53c7e0014a0be6274a97a7cc957e76940",
+    },
+}
+
+
+def test_pipeline_outputs_are_pinned(sim_dir, fit_dir, tmp_path):
+    assert _forecast(sim_dir, fit_dir / "model.json", tmp_path / "digg_fc",
+                     "--eval-horizon", "120") == 0
+    got = {
+        "digg": {
+            "events.jsonl": sha(sim_dir / "events.jsonl"),
+            "model.json": sha(fit_dir / "model.json"),
+            "forecasts.csv": sha(tmp_path / "digg_fc" / "forecasts.csv"),
+        }
+    }
+
+    dirs = {name: tmp_path / name for name in ("sim", "fit", "fc")}
+    for path in dirs.values():
+        path.mkdir()
+    _twitter_truth_config(tmp_path / "truth.json")
+    inputs = ["--events", str(dirs["sim"] / "events.jsonl"),
+              "--graph", str(dirs["sim"] / "graph.jsonl"), "--site", "twitter"]
+    assert main(["simulate", "--config", str(tmp_path / "truth.json"),
+                 "--out", str(dirs["sim"])]) == 0
+    assert main(["fit", *inputs, "--trf-horizon", "1024", "--min-fit-responses", "5",
+                 "--out", str(dirs["fit"])]) == 0
+    assert main(["forecast", *inputs, "--model", str(dirs["fit"] / "model.json"),
+                 "--eval-horizon", "300", "--out", str(dirs["fc"])]) == 0
+    got["twitter"] = {
+        "events.jsonl": sha(dirs["sim"] / "events.jsonl"),
+        "model.json": sha(dirs["fit"] / "model.json"),
+        "forecasts.csv": sha(dirs["fc"] / "forecasts.csv"),
+    }
+    assert got == PINNED
+
+
+def _failing_argv(case, sim_dir, fit_dir, tmp_path):
+    io = ["--graph", str(sim_dir / "graph.jsonl"), "--site", "digg"]
+    events = ["--events", str(sim_dir / "events.jsonl")]
+    model = ["--model", str(fit_dir / "model.json")]
+    if case == "missing events file":
+        return ["forecast", "--events", str(tmp_path / "nonexistent.jsonl"), *io, *model]
+    if case == "model without parameters":
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({"site": "twitter"}))
+        return ["forecast", *events, *io, "--model", str(bad)]
+    if case == "non-numeric cohort":
+        return ["enhance", *events, *io, *model, "--cohorts", "abc"]
+    bad = tmp_path / "forecasts.csv"
+    bad.write_text("user,item,predicted,outcome\nu1,x,0.5,1\n")
+    return ["calibrate", "--forecasts", str(bad)]
+
+
+@pytest.mark.parametrize("case", [
+    "missing events file",
+    "model without parameters",
+    "non-numeric cohort",
+    "csv without window_start",
+])
+def test_cli_failure_leaves_error_txt(case, sim_dir, fit_dir, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*_failing_argv(case, sim_dir, fit_dir, tmp_path), "--out", str(out)]) == 1
+    assert (out / "error.txt").read_text().strip()
