@@ -9,7 +9,8 @@ delay density until s + 1. In the first-appearance (digg) interface only the
 first exposure drives visibility, nu = p * T(dt_1); in the chronological
 (twitter) interface all exposures combine as nu = 1 - prod(1 - p * T(dt_i)).
 The per-message multiplier p is the susceptibility p_nf, except for the digg
-hazard, which takes p = p0 * p_nf (see :func:`hazard`).
+hazard, which takes p = p0 * p_nf; :class:`ModelHazard` owns that rule for
+the simulator and forecasting.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 
 from .binning import delay_bin
 from .events import ExposureSeries
+from .models import ModelParams
 
 
 def _density(dens, support: int, dt: int) -> float:
@@ -86,6 +88,46 @@ def hazard(
     else:
         raw = p0 * factor(n_e) * nu + v_min
     return 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
+
+
+class ModelHazard:
+    """One model's per-second hazard, with its per-friend-count constants memoized."""
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.site = params.site
+        self.p0 = params.p0
+        self.v_min = params.v_min
+        self.edges = params.trf.bin_edges
+        self.factor = params.enhancement.factor
+        self._nf: dict[int, tuple[float, tuple[float, ...]]] = {}
+
+    def _for_nf(self, n_f: int) -> tuple[float, tuple[float, ...]]:
+        """(p, densities) for one friend count: p = p0 * p_nf on digg, p_nf on twitter."""
+        hit = self._nf.get(n_f)
+        if hit is None:
+            p_nf = self.params.susceptibility.analytic(n_f)
+            p = self.p0 * p_nf if self.site == "digg" else p_nf
+            hit = self._nf[n_f] = (p, self.params.trf.densities_for(n_f))
+        return hit
+
+    def rate_at(self, n_f: int, exposures: Sequence[int], s: int) -> float:
+        """Hazard for second s."""
+        p, dens = self._for_nf(n_f)
+        n_e, nu = visibility_at(exposures, p, dens, self.edges, self.site, s)
+        return hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu)
+
+    def runs(
+        self, n_f: int, exposures: Sequence[int], t_from: int, t_to: int
+    ) -> list[tuple[int, int, float]]:
+        """Constant-hazard runs (start, end, lam) tiling [t_from, t_to)."""
+        p, dens = self._for_nf(n_f)
+        return [
+            (a, b, hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu))
+            for a, b, n_e, nu in visibility_segments(
+                exposures, p, dens, self.edges, self.site, t_from, t_to
+            )
+        ]
 
 
 def risk_segments(

@@ -45,7 +45,6 @@ from .visibility import (
     TrfBundle,
     estimate_susceptibility,
     estimate_trf,
-    evaluate_form,
     fit_susceptibility_analytic,
 )
 
@@ -132,13 +131,10 @@ def cmd_fit(args) -> int:
         site=site,
     )
     curve = estimate_susceptibility(series)
-    form = SusceptibilityForm.DIGG if site == "digg" else SusceptibilityForm.TWITTER
-    params = fit_susceptibility_analytic(curve, form)
-    curve.form = form
+    curve.form = SusceptibilityForm(site)
+    params = fit_susceptibility_analytic(curve, curve.form)
     curve.params = params
-
-    def sus(nf: int) -> float:
-        return evaluate_form(form, params, nf)
+    sus = curve.analytic
 
     # One visibility pass feeds the scale fit and the enhancement bins. It is
     # called through the module so that wrappers installed there see it.
@@ -179,11 +175,11 @@ def cmd_fit(args) -> int:
 
 def cmd_enhance(args) -> int:
     out = _out_dir(args.out)
+    model = _read_json_doc(args.model, ModelParams.from_json_dict)
     diagnostics = IngestDiagnostics()
     events, graph = _load_inputs(args, diagnostics)
     events = _split(events, args.split)
     series = build_series(events, graph)
-    model = _read_json_doc(args.model, ModelParams.from_json_dict)
     obs_end = _obs_end(args, events)
     cohorts = [_parse_cohort(c) for c in args.cohorts.split(",")] if args.cohorts else []
     doc = []
@@ -216,15 +212,15 @@ def _write_calibration(out: Path, curve, wmap: float) -> None:
 
 def cmd_forecast(args) -> int:
     out = _out_dir(args.out)
+    model = _read_json_doc(args.model, ModelParams.from_json_dict)
+    if model.site != args.site:
+        raise ContagionError(f"model is for {model.site!r}, requested {args.site!r}")
     diagnostics = IngestDiagnostics()
     events, graph = _load_inputs(args, diagnostics)
     events = _split(events, args.split)
     series = build_series(events, graph)
     if not series:
         raise ContagionError("no series to forecast")
-    model = _read_json_doc(args.model, ModelParams.from_json_dict)
-    if model.site != args.site:
-        raise ContagionError(f"model is for {model.site!r}, requested {args.site!r}")
     if args.ablate_enhancement:
         model.enhancement = EnhancementTable(values={1: 1.0}, saturates=True)
     obs_end = _obs_end(args, events)

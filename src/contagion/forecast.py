@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atrisk import hazard, visibility_segments
+from .atrisk import ModelHazard
 from .binning import FLOOR_BIN, log_bin_index
 from .errors import ContagionError
 from .events import ExposureSeries
@@ -45,21 +45,16 @@ def forecast_window(
     window take effect from their arrival second. The series must still be
     at risk at t.
     """
+    return _window_probability(ModelHazard(params), series, t, window)
+
+
+def _window_probability(hz: ModelHazard, series: ExposureSeries, t: int, window: int) -> float:
     if window <= 0:
         raise ContagionError("forecast window must be positive")
     if series.response_time is not None and series.response_time < t:
         raise ContagionError("series already responded before the window")
-    site = params.site
-    p_nf = params.susceptibility.analytic(series.n_f)
-    p = params.p0 * p_nf if site == "digg" else p_nf
-    dens = params.trf.densities_for(series.n_f)
-    v_min = params.v_min
-    runs = visibility_segments(
-        series.exposure_times, p, dens, params.trf.bin_edges, site, t, t + window
-    )
     log_survive = 0.0
-    for a, b, n_e, nu in runs:
-        lam = hazard(site, params.p0, v_min, params.enhancement.factor, n_e, nu)
+    for a, b, lam in hz.runs(series.n_f, series.exposure_times, t, t + window):
         if lam >= 1.0:
             return 1.0
         if lam > 0.0:
@@ -85,6 +80,7 @@ def forecast_points(
         stride = window
     if stride <= 0:
         raise ContagionError("stride must be positive")
+    hz = ModelHazard(params)
     out: list[ForecastPoint] = []
     for s in series_list:
         t1 = s.exposure_times[0]
@@ -97,7 +93,7 @@ def forecast_points(
                 break
             if s.response_time is not None and s.response_time < t:
                 break
-            predicted = forecast_window(params, s, t, window)
+            predicted = _window_probability(hz, s, t, window)
             responded = s.response_time is not None and t <= s.response_time < t + window
             out.append(
                 ForecastPoint(

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atrisk import hazard, visibility_at, visibility_segments
+from .atrisk import ModelHazard
 from .errors import ContagionError
 from .events import Event, FollowerGraph, apply_spam_cap, build_graph, build_series
 from .models import ModelParams
@@ -151,11 +152,7 @@ class GroundTruth:
             ),
             seeding=Seeding(
                 items=obj["seeding"]["items"],
-                posters_per_item=(
-                    tuple(obj["seeding"]["posters_per_item"])
-                    if isinstance(obj["seeding"]["posters_per_item"], list)
-                    else obj["seeding"]["posters_per_item"]
-                ),
+                posters_per_item=obj["seeding"]["posters_per_item"],
                 post_time_spread=obj["seeding"].get("post_time_spread", 0),
             ),
             horizon=obj["horizon"],
@@ -216,7 +213,7 @@ def generate_graph(spec: GraphSpec, seed: int) -> FollowerGraph:
 
 
 class _UserState:
-    __slots__ = ("exposures", "responded", "posted", "version", "candidate", "last_schedule_start")
+    __slots__ = ("exposures", "responded", "posted", "version", "candidate")
 
     def __init__(self):
         self.exposures: list[int] = []
@@ -224,62 +221,31 @@ class _UserState:
         self.posted = False
         self.version = 0
         self.candidate: int | None = None
-        self.last_schedule_start = -1
 
 
-class _Hazard:
-    """Site model evaluated as piecewise-constant per-second hazards."""
+class _Hazard(ModelHazard):
+    """The model hazard plus the simulation horizon and the digg sampler."""
 
     def __init__(self, params: ModelParams, horizon: int):
-        self.params = params
-        self.site = params.site
-        self.p0 = params.p0
-        self.v = params.v_min
-        self.edges = params.trf.bin_edges
-        self.support = self.edges[-1]
+        super().__init__(params)
         self.horizon = horizon
-        self._pnf: dict[int, float] = {}
-        self._fcache: dict[int, float] = {}
         # first-exposure-driven hazard factorizes: cache log-survival
         # prefixes per (n_f, n_e) in delay space
         self._prefix: dict[tuple[int, int], tuple[list[int], list[float], list[float]]] = {}
-
-    def for_nf(self, n_f: int) -> tuple[float, tuple[float, ...]]:
-        if n_f not in self._pnf:
-            self._pnf[n_f] = self.params.susceptibility.analytic(n_f)
-        return self._pnf[n_f], self.params.trf.densities_for(n_f)
-
-    def factor(self, n_e: int) -> float:
-        f = self._fcache.get(n_e)
-        if f is None:
-            f = self.params.enhancement.factor(n_e)
-            self._fcache[n_e] = f
-        return f
-
-    def rate_at(self, n_f: int, exposures: list[int], s: int) -> float:
-        """Hazard for one second, for the residual draw at arrival seconds."""
-        p_nf, dens = self.for_nf(n_f)
-        p = self.p0 * p_nf if self.site == "digg" else p_nf
-        n_e, nu = visibility_at(exposures, p, dens, self.edges, self.site, s)
-        return hazard(self.site, self.p0, self.v, self.factor, n_e, nu)
 
     def _digg_prefix(self, n_f: int, n_e: int):
         key = (n_f, n_e)
         hit = self._prefix.get(key)
         if hit is not None:
             return hit
-        p_nf, dens = self.for_nf(n_f)
-        p = self.p0 * p_nf
-        bounds = [0] + list(self.edges) + [1 << 62]
-        slopes = []
-        for i in range(len(bounds) - 1):
-            # no visibility in the arrival second or beyond the delay support
-            nu = p * dens[i - 1] if 1 <= i <= len(dens) else 0.0
-            lam = min(hazard("digg", self.p0, self.v, self.factor, n_e, nu), 1.0 - 1e-12)
-            slopes.append(math.log1p(-lam))
+        # digg visibility follows the first exposure only, so n_e arrivals at
+        # delay 0 give the runs in delay space
+        runs = self.runs(n_f, (0,) * n_e, 0, 1 << 62)
+        bounds = [a for a, _, _ in runs] + [runs[-1][1]]
+        slopes = [math.log1p(-min(lam, 1.0 - 1e-12)) for _, _, lam in runs]
         cum = [0.0]
-        for i, l in enumerate(slopes):
-            cum.append(cum[-1] + (bounds[i + 1] - bounds[i]) * l)
+        for (a, b, _), l in zip(runs, slopes):
+            cum.append(cum[-1] + (b - a) * l)
         out = (bounds, cum, slopes)
         self._prefix[key] = out
         return out
@@ -294,10 +260,7 @@ class _Hazard:
         d0 = start - t1
         if d0 < 0:
             d0 = 0
-        i = 0 if d0 == 0 else min(d0.bit_length(), len(slopes) - 1)
-        # delays in [2^k, 2^(k+1)) sit in segment k+1; past support, the tail
-        if d0 >= self.support:
-            i = len(slopes) - 1
+        i = bisect_right(bounds, d0) - 1
         target = math.log(1.0 - rng.random())  # log of U in (0, 1]
         if target == 0.0:
             target = -1e-300
@@ -310,17 +273,6 @@ class _Hazard:
                 s = t1 + d
                 return s if s <= self.horizon else None
         return None
-
-    def segments(self, n_f: int, exposures: list[int], start: int) -> list[tuple[int, int, float]]:
-        """Twitter constant-hazard runs over [start, horizon]; exposures all <= start.
-
-        Digg draws through :meth:`sample_first_driven` instead.
-        """
-        p_nf, dens = self.for_nf(n_f)
-        runs = visibility_segments(exposures, p_nf, dens, self.edges, "twitter", start,
-                                   self.horizon + 1)
-        return [(a, b, hazard("twitter", self.p0, self.v, self.factor, n_e, nu))
-                for a, b, n_e, nu in runs]
 
 
 def _sample_response(segments, rng) -> int | None:
@@ -357,14 +309,13 @@ def _simulate_item(
     def schedule(user: str, st: _UserState, start: int) -> None:
         nonlocal seq
         st.version += 1
-        st.last_schedule_start = start
         n_f = friend_count.get(user, 0)
         if hazard.site == "digg":
             t_resp = hazard.sample_first_driven(
                 n_f, len(st.exposures), st.exposures[0], start, rng
             )
         else:
-            segs = hazard.segments(n_f, st.exposures, start)
+            segs = hazard.runs(n_f, st.exposures, start, hazard.horizon + 1)
             t_resp = _sample_response(segs, rng)
         st.candidate = t_resp
         if t_resp is not None:
@@ -566,7 +517,7 @@ def recovery_experiment(
     trf_est = TrfBundle(t1=t1, t10=t10, t100=t100, site=site)
 
     sus_emp = estimate_susceptibility(series)
-    form = SusceptibilityForm.DIGG if site == "digg" else SusceptibilityForm.TWITTER
+    form = SusceptibilityForm(site)
     sus_params = fit_susceptibility_analytic(sus_emp, form)
     shape_errors: dict[int, float] = {}
     ref = 10

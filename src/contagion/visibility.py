@@ -35,7 +35,6 @@ COHORTS: dict[str, tuple[int, int]] = {
     "T10": (9, 11),
     "T100": (90, 110),
 }
-COHORT_CENTERS: dict[str, int] = {"T1": 1, "T10": 10, "T100": 100}
 
 WEEK = 7 * 86400
 EPS_W = 1e-6  # keeps interpolation weights finite at the cohort centers

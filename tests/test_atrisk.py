@@ -1,12 +1,13 @@
 """Property tests of the hazard-segment kernel against the per-second oracles."""
 
 import math
+from bisect import bisect_right
 
 from hypothesis import given, settings, strategies as st
 
-from contagion.atrisk import hazard, visibility_segments
+from contagion.atrisk import ModelHazard, hazard, visibility_segments
 from contagion.models import EnhancementTable, ModelParams, digg_probability, twitter_probability
-from contagion.simulate import synthetic_trf
+from contagion.simulate import _Hazard, synthetic_trf
 from contagion.visibility import SusceptibilityCurve, SusceptibilityForm, TrfBundle
 
 DIGG_CONSTANTS = {"A": 7.6e-3, "B": -6.2e-2, "C": 1.7e-3, "D": 3.7, "E": 17.8}
@@ -79,3 +80,48 @@ def test_kernel_tiles_window_and_matches_oracle(site, p0, n_f, exposures, t_from
 def test_empty_window_has_no_segments():
     params = make_params("twitter", 0.6)
     assert kernel_runs(params, 10, [3], 20, 20) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    site=st.sampled_from(["twitter", "digg"]),
+    p0=st.sampled_from([0.05, 0.6, 40.0, 667.0]),
+    n_f=st.sampled_from([1, 3, 10, 37, 100, 150]),
+    exposures=st.lists(st.integers(5, 200), min_size=1, max_size=6, unique=True).map(sorted),
+    t_from=st.integers(0, 260),
+    length=st.integers(1, 150),
+)
+def test_model_hazard_runs_and_rate_match_oracle(site, p0, n_f, exposures, t_from, length):
+    params = make_params(site, p0)
+    hz = ModelHazard(params)
+    t_to = t_from + length
+    runs = hz.runs(n_f, exposures, t_from, t_to)
+
+    assert runs[0][0] == t_from
+    assert runs[-1][1] == t_to
+    for (_, end, _), (start, _, _) in zip(runs, runs[1:]):
+        assert end == start
+    for a, b, lam in runs:
+        assert a < b
+        for s in range(a, b):
+            want = oracle(params, n_f, exposures, s)
+            assert math.isclose(lam, want, rel_tol=1e-12), (s, lam, want)
+            assert math.isclose(hz.rate_at(n_f, exposures, s), want, rel_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p0=st.sampled_from([0.05, 0.6, 40.0, 667.0]),
+    n_f=st.sampled_from([1, 3, 10, 37, 100, 150]),
+    n_e=st.integers(1, 5),
+)
+def test_digg_prefix_matches_summed_oracle(p0, n_f, n_e):
+    params = make_params("digg", p0)
+    bounds, cum, slopes = _Hazard(params, horizon=10 * GRID)._digg_prefix(n_f, n_e)
+    want = 0.0  # log-survival over delays [0, d)
+    for d in range(2 * GRID + 1):
+        i = bisect_right(bounds, d) - 1
+        got = cum[i] + (d - bounds[i]) * slopes[i]
+        assert math.isclose(got, want, rel_tol=1e-9), (d, got, want)
+        lam = digg_probability(params, n_f, 0, n_e, d)
+        want += math.log1p(-min(lam, 1.0 - 1e-12))

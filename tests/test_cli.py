@@ -359,3 +359,22 @@ def test_cli_failure_leaves_error_txt(case, sim_dir, fit_dir, tmp_path):
     out.mkdir()
     assert main([*_failing_argv(case, sim_dir, fit_dir, tmp_path), "--out", str(out)]) == 1
     assert (out / "error.txt").read_text().strip()
+
+
+@pytest.mark.parametrize("command,model_doc,expected", [
+    ("forecast", {"site": "digg"}, "bad_model.json"),
+    ("enhance", {"site": "digg"}, "bad_model.json"),
+    ("forecast", None, "model is for 'digg', requested 'twitter'"),
+], ids=["forecast malformed model", "enhance malformed model", "forecast site mismatch"])
+def test_model_is_checked_before_the_log_is_read(command, model_doc, expected, fit_dir, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    model = fit_dir / "model.json"
+    if model_doc is not None:
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(model_doc))
+    argv = [command, "--events", str(tmp_path / "nonexistent.jsonl"),
+            "--graph", str(tmp_path / "nonexistent_graph.jsonl"), "--site", "twitter",
+            "--model", str(model), "--out", str(out)]
+    assert main(argv) == 1
+    assert expected in (out / "error.txt").read_text()
