@@ -15,6 +15,7 @@ from . import __version__, inference
 from .binning import log_bin_bounds, log_bin_index
 from .errors import ContagionError
 from .events import (
+    MAX_EXPOSURES,
     IngestDiagnostics,
     build_graph,
     build_series,
@@ -71,26 +72,35 @@ def _read_json_doc(path, from_json_dict):
     with open(path, encoding="utf-8") as fh:
         try:
             return from_json_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, OverflowError, RecursionError, TypeError,
+                ValueError) as exc:
             raise ContagionError(f"{path}: malformed document ({exc!r})") from exc
 
 
-def _load_inputs(args, diagnostics: IngestDiagnostics):
+def _read_model(args) -> ModelParams:
+    """Read ``--model`` and check that it was fitted for ``--site``."""
+    model = _read_json_doc(args.model, ModelParams.from_json_dict)
+    if model.site != args.site:
+        raise ContagionError(f"model is for {model.site!r}, requested {args.site!r}")
+    return model
+
+
+def _ingest(args, diagnostics: IngestDiagnostics | None = None):
+    """Load the capped log and the graph, keep ``--split``, and group it into series.
+
+    Returns the split's events, its series and the observation end:
+    ``--obs-end``, or else the split's last event time.
+    """
     events = load_event_log(args.events, max_exposures=args.max_exposures, diagnostics=diagnostics)
-    edges = load_follow_edges(args.graph)
-    graph = build_graph(events, edges)
-    return events, graph
-
-
-def _obs_end(args, events) -> int:
-    return args.obs_end if args.obs_end is not None else max(ev.time for ev in events)
-
-
-def _split(events, which: str):
-    if which == "all":
-        return events
-    train, test = train_test_split(events)
-    return train if which == "train" else test
+    graph = build_graph(events, load_follow_edges(args.graph))
+    if args.split != "all":
+        train, test = train_test_split(events)
+        events = train if args.split == "train" else test
+    series = build_series(events, graph, diagnostics=diagnostics)
+    if not series:
+        raise ContagionError(f"no exposure series in the {args.split} split")
+    obs_end = args.obs_end if args.obs_end is not None else max(ev.time for ev in events)
+    return events, series, obs_end
 
 
 def cmd_simulate(args) -> int:
@@ -112,17 +122,10 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     out = _out_dir(args.out)
     diagnostics = IngestDiagnostics()
-    events, graph = _load_inputs(args, diagnostics)
-    events = _split(events, args.split)
-    if not events:
-        raise ContagionError("training split is empty")
-    series = build_series(events, graph, diagnostics=diagnostics)
-    if not series:
-        raise ContagionError("no exposure series in the training split")
+    events, series, obs_end = _ingest(args, diagnostics)
 
     site = args.site
     horizon = args.trf_horizon
-    obs_end = _obs_end(args, events)
     single_only = site == "twitter"
     bundle = TrfBundle(
         t1=estimate_trf(series, COHORTS["T1"], single_only, horizon, "T1"),
@@ -175,12 +178,8 @@ def cmd_fit(args) -> int:
 
 def cmd_enhance(args) -> int:
     out = _out_dir(args.out)
-    model = _read_json_doc(args.model, ModelParams.from_json_dict)
-    diagnostics = IngestDiagnostics()
-    events, graph = _load_inputs(args, diagnostics)
-    events = _split(events, args.split)
-    series = build_series(events, graph)
-    obs_end = _obs_end(args, events)
+    model = _read_model(args)
+    _, series, obs_end = _ingest(args)
     cohorts = [_parse_cohort(c) for c in args.cohorts.split(",")] if args.cohorts else []
     doc = []
     if cohorts:
@@ -212,18 +211,10 @@ def _write_calibration(out: Path, curve, wmap: float) -> None:
 
 def cmd_forecast(args) -> int:
     out = _out_dir(args.out)
-    model = _read_json_doc(args.model, ModelParams.from_json_dict)
-    if model.site != args.site:
-        raise ContagionError(f"model is for {model.site!r}, requested {args.site!r}")
-    diagnostics = IngestDiagnostics()
-    events, graph = _load_inputs(args, diagnostics)
-    events = _split(events, args.split)
-    series = build_series(events, graph)
-    if not series:
-        raise ContagionError("no series to forecast")
+    model = _read_model(args)
+    _, series, obs_end = _ingest(args)
     if args.ablate_enhancement:
         model.enhancement = EnhancementTable(values={1: 1.0}, saturates=True)
-    obs_end = _obs_end(args, events)
     points = forecast_points(
         model,
         series,
@@ -320,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--events", required=True, help="event log (JSON lines)")
         p.add_argument("--graph", required=True, help="follow edges (JSON lines)")
         p.add_argument("--site", choices=("twitter", "digg"), default="digg")
-        p.add_argument("--max-exposures", type=int, default=20)
+        p.add_argument("--max-exposures", type=int, default=MAX_EXPOSURES)
         p.add_argument("--out", required=True, help="output directory (must exist)")
         p.add_argument("--split", choices=("train", "test", "all"), default="all")
         p.add_argument("--obs-end", type=int, default=None)
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="end-to-end parameter recovery against a truth config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-exposures", type=int, default=20)
+    p.add_argument("--max-exposures", type=int, default=MAX_EXPOSURES)
     p.add_argument("--trf-horizon", type=int, default=None)
     p.add_argument("--enhancement-cohort", default="", help='friend-count band, e.g. "30-30"')
     p.add_argument("--out", required=True)

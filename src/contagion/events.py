@@ -21,6 +21,9 @@ from .errors import ContagionError, EventLogError
 
 KINDS = ("post", "exposure", "response")
 
+# Any (user, item) pair with this many exposures or more is dropped as spam.
+MAX_EXPOSURES = 20
+
 
 @dataclass(frozen=True, slots=True)
 class Event:
@@ -95,11 +98,25 @@ class IngestDiagnostics:
     exposures_in_series: int = 0
 
 
+def _json_lines(path):
+    """Yield ``(line number, text)`` per non-blank line; bad UTF-8 is an EventLogError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EventLogError(f"invalid UTF-8: {exc.reason}", line=lineno) from exc
+            if line.strip():
+                yield lineno, line
+
+
 def _parse_line(line: str, lineno: int) -> Event:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise EventLogError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+    except RecursionError as exc:
+        raise EventLogError("JSON nested too deeply", line=lineno) from exc
     if not isinstance(obj, dict):
         raise EventLogError("event must be a JSON object", line=lineno)
     kind = obj.get("kind")
@@ -126,18 +143,14 @@ def _parse_line(line: str, lineno: int) -> Event:
 
 def load_event_log(
     path,
-    max_exposures: int = 20,
+    max_exposures: int = MAX_EXPOSURES,
     diagnostics: IngestDiagnostics | None = None,
 ) -> list[Event]:
     """Parse an event log, apply :func:`apply_spam_cap`, and sort by time."""
-    events: list[Event] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            events.append(_parse_line(line, lineno))
-    if diagnostics is not None:
-        diagnostics.parsed_events += len(events)
+    if diagnostics is None:
+        diagnostics = IngestDiagnostics()
+    events = [_parse_line(line, lineno) for lineno, line in _json_lines(path)]
+    diagnostics.parsed_events += len(events)
     events = apply_spam_cap(events, max_exposures, diagnostics)
     events.sort(key=lambda ev: ev.time)
     return events
@@ -152,6 +165,8 @@ def apply_spam_cap(
 
     The whole pair goes, responses and posts included; order is kept.
     """
+    if diagnostics is None:
+        diagnostics = IngestDiagnostics()
     exposure_counts: dict[tuple[str, str], int] = defaultdict(int)
     for ev in events:
         if ev.kind == "exposure":
@@ -159,17 +174,10 @@ def apply_spam_cap(
     capped = {key for key, n in exposure_counts.items() if n >= max_exposures}
     if not capped:
         return events
-    kept = []
-    for ev in events:
-        if (ev.user, ev.item) in capped:
-            if diagnostics is not None:
-                diagnostics.capped_events += 1
-                if ev.kind == "exposure":
-                    diagnostics.capped_exposures += 1
-        else:
-            kept.append(ev)
-    if diagnostics is not None:
-        diagnostics.capped_pairs += len(capped)
+    kept = [ev for ev in events if (ev.user, ev.item) not in capped]
+    diagnostics.capped_pairs += len(capped)
+    diagnostics.capped_events += len(events) - len(kept)
+    diagnostics.capped_exposures += sum(exposure_counts[key] for key in capped)
     return kept
 
 
@@ -184,15 +192,12 @@ def write_event_log(path, events: list[Event]) -> None:
 
 def load_follow_edges(path) -> list[tuple[str, str]]:
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                edges.append((str(obj["follower"]), str(obj["friend"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
+    for lineno, line in _json_lines(path):
+        try:
+            obj = json.loads(line)
+            edges.append((str(obj["follower"]), str(obj["friend"])))
+        except (json.JSONDecodeError, KeyError, RecursionError, TypeError) as exc:
+            raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
     return edges
 
 
@@ -234,6 +239,8 @@ def build_series(
     from the at-risk population from that moment, so exposures at or after it
     are dropped. Responses with no prior exposure are dropped and counted.
     """
+    if diagnostics is None:
+        diagnostics = IngestDiagnostics()
     exposures: dict[tuple[str, str], list[int]] = defaultdict(list)
     first_response: dict[tuple[str, str], int] = {}
     post_time: dict[tuple[str, str], int] = {}
@@ -247,8 +254,7 @@ def build_series(
                 post_time[key] = ev.time
         elif ev.kind == "response":
             if key in first_response:
-                if diagnostics is not None:
-                    diagnostics.duplicate_responses += 1
+                diagnostics.duplicate_responses += 1
             else:
                 first_response[key] = ev.time
 
@@ -256,24 +262,19 @@ def build_series(
     for key in sorted(exposures):
         raw = exposures[key]
         times = sorted(set(raw))
-        if diagnostics is not None:
-            diagnostics.duplicate_exposures += len(raw) - len(times)
+        diagnostics.duplicate_exposures += len(raw) - len(times)
         cutoff = post_time.get(key)
         if cutoff is not None:
             kept = [t for t in times if t < cutoff]
-            if diagnostics is not None:
-                diagnostics.exposures_after_own_post += len(times) - len(kept)
+            diagnostics.exposures_after_own_post += len(times) - len(kept)
             times = kept
         response = first_response.pop(key, None)
-        if not times:
-            if response is not None and diagnostics is not None:
-                diagnostics.responses_without_exposure += 1
-            continue
-        if response is not None and response < times[0]:
+        if response is not None and (not times or response < times[0]):
             # Response predates every retained exposure: not an infection.
-            if diagnostics is not None:
-                diagnostics.responses_without_exposure += 1
+            diagnostics.responses_without_exposure += 1
             response = None
+        if not times:
+            continue
         user, item = key
         series.append(
             ExposureSeries(
@@ -284,10 +285,8 @@ def build_series(
                 response_time=response,
             )
         )
-        if diagnostics is not None:
-            diagnostics.exposures_in_series += len(times)
+        diagnostics.exposures_in_series += len(times)
 
-    if diagnostics is not None:
-        # Responses whose (user, item) pair was never exposed at all.
-        diagnostics.responses_without_exposure += len(first_response)
+    # Responses whose (user, item) pair was never exposed at all.
+    diagnostics.responses_without_exposure += len(first_response)
     return series

@@ -74,12 +74,18 @@ def forecast_points(
 
     Windows are disjoint by default (stride = window). Evaluation stops at
     the window containing the response, at ``eval_horizon`` seconds past the
-    first exposure, or at ``obs_end``, whichever comes first.
+    first exposure, or at ``obs_end``, whichever comes first. When neither
+    bound is given, ``obs_end`` is the last exposure or response time in
+    ``series_list``.
     """
     if stride is None:
         stride = window
     if stride <= 0:
         raise ContagionError("stride must be positive")
+    if eval_horizon is None and obs_end is None:
+        series_list = list(series_list)
+        obs_end = max((max(s.exposure_times[-1], s.response_time or 0) for s in series_list),
+                      default=0)
     hz = ModelHazard(params)
     out: list[ForecastPoint] = []
     for s in series_list:

@@ -13,17 +13,18 @@ s + 1; duplicate same-second exposures of one user to one item collapse.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 from bisect import bisect_right
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .atrisk import ModelHazard
 from .errors import ContagionError
-from .events import Event, FollowerGraph, apply_spam_cap, build_graph, build_series
+from .events import MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_graph, build_series
 from .models import ModelParams
 from .visibility import (
     COHORTS,
@@ -66,8 +67,8 @@ class GraphSpec:
             raise ContagionError(f"constant degree {self.k} infeasible for {self.users} users")
         if self.kind == "powerlaw" and self.exponent <= 1.0:
             raise ContagionError("power-law exponent must exceed 1")
+        self.bands = tuple((int(c), int(lo), int(hi)) for c, lo, hi in self.bands)
         if self.kind == "bands":
-            self.bands = tuple((int(c), int(lo), int(hi)) for c, lo, hi in self.bands)
             if not self.bands:
                 raise ContagionError("bands spec needs at least one band")
             if sum(c for c, _, _ in self.bands) > self.users:
@@ -120,41 +121,18 @@ class GroundTruth:
     def to_json_dict(self) -> dict:
         return {
             "params": self.params.to_json_dict(),
-            "graph": {
-                "users": self.graph.users,
-                "kind": self.graph.kind,
-                "k": self.graph.k,
-                "exponent": self.graph.exponent,
-                "max_degree": self.graph.max_degree,
-                "bands": [list(b) for b in self.graph.bands],
-            },
-            "seeding": {
-                "items": self.seeding.items,
-                "posters_per_item": list(self.seeding.posters_per_item),
-                "post_time_spread": self.seeding.post_time_spread,
-            },
+            "graph": asdict(self.graph),
+            "seeding": asdict(self.seeding),
             "horizon": self.horizon,
             "rng_seed": self.rng_seed,
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GroundTruth":
-        g = obj["graph"]
         return cls(
             params=ModelParams.from_json_dict(obj["params"]),
-            graph=GraphSpec(
-                users=g["users"],
-                kind=g["kind"],
-                k=g.get("k", 10),
-                exponent=g.get("exponent", 2.2),
-                max_degree=g.get("max_degree"),
-                bands=tuple(tuple(b) for b in g.get("bands", [])),
-            ),
-            seeding=Seeding(
-                items=obj["seeding"]["items"],
-                posters_per_item=obj["seeding"]["posters_per_item"],
-                post_time_spread=obj["seeding"].get("post_time_spread", 0),
-            ),
+            graph=GraphSpec(**obj["graph"]),
+            seeding=Seeding(**obj["seeding"]),
             horizon=obj["horizon"],
             rng_seed=obj["rng_seed"],
         )
@@ -414,13 +392,10 @@ def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) ->
 
 def train_test_split(events: list[Event]) -> tuple[list[Event], list[Event]]:
     """Split by stable item-id hash, roughly half and half."""
-    import hashlib
-
-    def bucket(item: str) -> int:
-        return hashlib.sha1(item.encode()).digest()[0] % 2
-
-    train = [ev for ev in events if bucket(ev.item) == 0]
-    test = [ev for ev in events if bucket(ev.item) == 1]
+    items = {ev.item for ev in events}
+    bucket = {item: hashlib.sha1(item.encode()).digest()[0] % 2 for item in items}
+    train = [ev for ev in events if bucket[ev.item] == 0]
+    test = [ev for ev in events if bucket[ev.item] == 1]
     return train, test
 
 
@@ -476,7 +451,7 @@ class RecoveryReport:
 
 def recovery_experiment(
     truth: GroundTruth,
-    max_exposures: int = 20,
+    max_exposures: int = MAX_EXPOSURES,
     trf_horizon: int | None = None,
     min_fit_responses: int = 30,
     enhancement_cohort: tuple[int, int] | None = None,
@@ -499,10 +474,7 @@ def recovery_experiment(
 
     graph = generate_graph(truth.graph, truth.rng_seed)
     events = simulate_cascades(truth, graph)
-    train_ev, test_ev = train_test_split(events)
-
-    train_ev = apply_spam_cap(train_ev, max_exposures)
-    test_ev = apply_spam_cap(test_ev, max_exposures)
+    train_ev, test_ev = train_test_split(apply_spam_cap(events, max_exposures))
     series = build_series(train_ev, graph)
 
     site = truth.params.site

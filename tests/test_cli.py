@@ -2,12 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from contagion.cli import main
+from contagion.events import Event, write_event_log
 from contagion.models import EnhancementTable, ModelParams
-from contagion.simulate import GraphSpec, GroundTruth, Seeding, synthetic_trf
+from contagion.simulate import GraphSpec, GroundTruth, Seeding, synthetic_trf, train_test_split
 from contagion.visibility import SusceptibilityCurve, SusceptibilityForm, TrfBundle
 
 DIGG_CONSTANTS = {"A": 7.6e-3, "B": -6.2e-2, "C": 1.7e-3, "D": 3.7, "E": 17.8}
@@ -343,6 +346,18 @@ def _failing_argv(case, sim_dir, fit_dir, tmp_path):
         return ["forecast", *events, *io, "--model", str(bad)]
     if case == "non-numeric cohort":
         return ["enhance", *events, *io, *model, "--cohorts", "abc"]
+    if case == "empty split":
+        log = [Event("exposure", "u1", f"item{i}", 1, exposer="u2") for i in range(8)]
+        train, _ = train_test_split(log)
+        write_event_log(tmp_path / "train_only.jsonl", train)
+        return ["enhance", "--events", str(tmp_path / "train_only.jsonl"), *io, *model,
+                "--split", "test"]
+    if case == "mistyped model field":
+        doc = json.loads((fit_dir / "model.json").read_text())
+        doc["enhancement"] = {"F": "x"}
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        return ["forecast", *events, *io, "--model", str(bad)]
     bad = tmp_path / "forecasts.csv"
     bad.write_text("user,item,predicted,outcome\nu1,x,0.5,1\n")
     return ["calibrate", "--forecasts", str(bad)]
@@ -353,6 +368,8 @@ def _failing_argv(case, sim_dir, fit_dir, tmp_path):
     "model without parameters",
     "non-numeric cohort",
     "csv without window_start",
+    "empty split",
+    "mistyped model field",
 ])
 def test_cli_failure_leaves_error_txt(case, sim_dir, fit_dir, tmp_path):
     out = tmp_path / "out"
@@ -365,7 +382,9 @@ def test_cli_failure_leaves_error_txt(case, sim_dir, fit_dir, tmp_path):
     ("forecast", {"site": "digg"}, "bad_model.json"),
     ("enhance", {"site": "digg"}, "bad_model.json"),
     ("forecast", None, "model is for 'digg', requested 'twitter'"),
-], ids=["forecast malformed model", "enhance malformed model", "forecast site mismatch"])
+    ("enhance", None, "model is for 'digg', requested 'twitter'"),
+], ids=["forecast malformed model", "enhance malformed model", "forecast site mismatch",
+        "enhance site mismatch"])
 def test_model_is_checked_before_the_log_is_read(command, model_doc, expected, fit_dir, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -378,3 +397,21 @@ def test_model_is_checked_before_the_log_is_read(command, model_doc, expected, f
             "--model", str(model), "--out", str(out)]
     assert main(argv) == 1
     assert expected in (out / "error.txt").read_text()
+
+
+def test_simulate_rejects_an_unknown_truth_key(truth_config, tmp_path):
+    doc = json.loads(truth_config.read_text())
+    doc["seeding"]["post_time_sprad"] = doc["seeding"].pop("post_time_spread")
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "typo.json" in (out / "error.txt").read_text()
+
+
+def test_readme_library_example_runs(sim_dir, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    monkeypatch.chdir(sim_dir)
+    exec(compile(code, "README.md", "exec"), {})

@@ -10,6 +10,7 @@ from contagion.events import (
     build_graph,
     build_series,
     load_event_log,
+    load_follow_edges,
     write_event_log,
 )
 
@@ -89,6 +90,19 @@ def test_malformed_json_names_line(tmp_path):
     with pytest.raises(EventLogError) as err:
         load_event_log(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("load", [load_event_log, load_follow_edges])
+def test_undecodable_line_errors_with_line_number(tmp_path, load):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(
+        b'{"kind": "post", "user": "a", "item": "x", "time": 1, "follower": "a", "friend": "b"}\n'
+        b'{"kind": "post", "user": "\xff", "item": "x", "time": 2}\n'
+    )
+    with pytest.raises(EventLogError) as err:
+        load(path)
+    assert err.value.line == 2
+    assert "UTF-8" in str(err.value)
 
 
 def test_subsecond_timestamps_truncate(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestForecastPoints:
         s = series([0])
         points = forecast_points(params, [s], window=30, stride=15, eval_horizon=60)
         assert [pt.window_start for pt in points] == [0, 15, 30, 45, 60]
+
+    def test_defaults_stop_at_the_last_event_time(self):
+        # Unbounded tiling never returns; the timer turns a hang into a failure.
+        def give_up(signum, frame):
+            raise TimeoutError("forecast_points did not return")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            points = forecast_points(flat_params(sus=0.5), [series([5]), series([0], response=70)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # the never-responding series stops at the other series' response, 70
+        assert [pt.window_start for pt in points] == [5, 35, 65, 0, 30, 60]
 
 
 class TestCalibration:
