@@ -77,6 +77,20 @@ def _read_json_doc(path, from_json_dict):
             raise ContagionError(f"{path}: malformed document ({exc!r})") from exc
 
 
+def _write_json(path: Path, doc) -> None:
+    """Write one of the CLI's JSON outputs: UTF-8, indent 2, sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def _read_truth(args) -> GroundTruth:
+    """Read ``--config`` and apply ``--seed``."""
+    truth = _read_json_doc(args.config, GroundTruth.from_json_dict)
+    if args.seed is not None:
+        truth.rng_seed = args.seed
+    return truth
+
+
 def _read_model(args) -> ModelParams:
     """Read ``--model`` and check that it was fitted for ``--site``."""
     model = _read_json_doc(args.model, ModelParams.from_json_dict)
@@ -105,15 +119,12 @@ def _ingest(args, diagnostics: IngestDiagnostics | None = None):
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
-    truth = _read_json_doc(args.config, GroundTruth.from_json_dict)
-    if args.seed is not None:
-        truth.rng_seed = args.seed
+    truth = _read_truth(args)
     graph = generate_graph(truth.graph, truth.rng_seed)
     events = simulate_cascades(truth, graph)
     write_event_log(out / "events.jsonl", events)
     write_follow_edges(out / "graph.jsonl", graph)
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth.to_json_dict(), fh, indent=2, sort_keys=True)
+    _write_json(out / "truth.json", truth.to_json_dict())
     log.info("wrote %d events for %d users", len(events), len(graph.users))
     print(f"events={len(events)} users={len(graph.users)} -> {out}")
     return 0
@@ -156,8 +167,7 @@ def cmd_fit(args) -> int:
         susceptibility=curve,
         trf=bundle,
     )
-    with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
+    _write_json(out / "model.json", model.to_json_dict())
 
     diag = {
         "site": site,
@@ -170,8 +180,7 @@ def cmd_fit(args) -> int:
         "scale_fit_points": len(fit_curve.points),
         "ingest": diagnostics.__dict__,
     }
-    with open(out / "fit_diagnostics.json", "w", encoding="utf-8") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
+    _write_json(out / "fit_diagnostics.json", diag)
     print(f"model -> {out / 'model.json'} (p0={p0:.4g}, log_v_min={diag['log_v_min']})")
     return 0
 
@@ -191,8 +200,7 @@ def cmd_enhance(args) -> int:
     else:
         bins = visibility_bins(series, model.susceptibility.analytic, model.trf, model.site, obs_end)
         doc.append(fit_enhancement(bins).to_json_dict(cohort="all"))
-    with open(out / "enhancement.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_json(out / "enhancement.json", doc)
     print(f"enhancement tables -> {out / 'enhancement.json'}")
     return 0
 
@@ -263,9 +271,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     out = _out_dir(args.out)
-    truth = _read_json_doc(args.config, GroundTruth.from_json_dict)
-    if args.seed is not None:
-        truth.rng_seed = args.seed
+    truth = _read_truth(args)
     cohort = _parse_cohort(args.enhancement_cohort) if args.enhancement_cohort else None
     report = recovery_experiment(
         truth,
@@ -292,8 +298,7 @@ def cmd_validate(args) -> int:
         },
         "susceptibility_shape_rel_err": report.susceptibility_shape_errors,
     }
-    with open(out / "recovery.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_json(out / "recovery.json", doc)
     for line in report.summary_lines():
         print(line)
     return 0

@@ -138,6 +138,11 @@ def _parse_line(line: str, lineno: int) -> Event:
     exposer = obj.get("exposer")
     if exposer is not None:
         exposer = str(exposer)
+    try:  # a JSON escape can smuggle in a lone surrogate, which no file can hold
+        (user + item + (exposer or "")).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EventLogError(f"id holds a lone surrogate {exc.object[exc.start]!r}",
+                            line=lineno) from exc
     return Event(kind=kind, user=user, item=item, time=time, exposer=exposer)
 
 

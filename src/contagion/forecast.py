@@ -89,14 +89,11 @@ def forecast_points(
     hz = ModelHazard(params)
     out: list[ForecastPoint] = []
     for s in series_list:
-        t1 = s.exposure_times[0]
-        limit = t1 + eval_horizon if eval_horizon is not None else None
-        if obs_end is not None:
-            limit = obs_end if limit is None else min(limit, obs_end)
-        t = t1
-        while True:
-            if limit is not None and t > limit:
-                break
+        t = s.exposure_times[0]
+        limit = math.inf if obs_end is None else obs_end
+        if eval_horizon is not None:
+            limit = min(limit, t + eval_horizon)
+        while t <= limit:
             if s.response_time is not None and s.response_time < t:
                 break
             predicted = _window_probability(hz, s, t, window)

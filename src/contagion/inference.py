@@ -23,6 +23,7 @@ from scipy import optimize
 from .atrisk import risk_segments
 from .binning import FLOOR_BIN, log_bin_center, log_bin_index
 from .errors import BracketError, ContagionError, FitError
+from .models import EnhancementTable
 from .visibility import TrfBundle
 
 logger = logging.getLogger(__name__)
@@ -116,19 +117,14 @@ def fit_scale_and_floor(curve: CalibrationCurve) -> tuple[float, float]:
     def objective(x) -> float:
         return wmap_error(target, math.exp(x[0]), math.exp(x[1]))
 
-    x0 = np.array([best[1] * math.log(10.0), best[2] * math.log(10.0)])
-    res = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 3000, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    res2 = optimize.minimize(
-        objective,
-        res.x,
-        method="Nelder-Mead",
-        options={"maxiter": 3000, "xatol": 1e-10, "fatol": 1e-14},
-    )
+    def descend(x):
+        return optimize.minimize(
+            objective, x, method="Nelder-Mead",
+            options={"maxiter": 3000, "xatol": 1e-10, "fatol": 1e-14},
+        )
+
+    res = descend(np.array([best[1] * math.log(10.0), best[2] * math.log(10.0)]))
+    res2 = descend(res.x)  # one restart from the first simplex's end point
     x = res2.x if res2.fun <= res.fun else res.x
     return math.exp(x[0]), math.exp(x[1])
 
@@ -263,13 +259,7 @@ def pooled_visibility_bins(
             cell[1] += r
             cell[2] += snu
         bins = [
-            VisibilityBin(
-                nu=(snu / n if n else 0.0),
-                trials=n,
-                responses=r,
-                mean_nu=snu / n if n else 0.0,
-                index=key,
-            )
+            VisibilityBin(nu=snu / n, trials=n, responses=r, mean_nu=snu / n, index=key)
             for key, (n, r, snu) in sorted(merged.items())
             if n > 0
         ]
@@ -333,7 +323,7 @@ def log_likelihood(f: float, cells: Sequence[tuple[int, int, float]]) -> float:
     return total
 
 
-def fit_enhancement(bins_by_ne: dict[int, list[VisibilityBin]]) -> "EnhancementTable":
+def fit_enhancement(bins_by_ne: dict[int, list[VisibilityBin]]) -> EnhancementTable:
     """Maximum-likelihood enhancement factors from visibility-binned counts.
 
     F(1) = 1 by convention and P(nu) = responses/trials from the n_e = 1
@@ -341,8 +331,6 @@ def fit_enhancement(bins_by_ne: dict[int, list[VisibilityBin]]) -> "EnhancementT
     condition, bisected inside (0, 1/max P(nu)) so that F * P stays a valid
     probability; the bracket is tightened until it cannot shrink further.
     """
-    from .models import EnhancementTable
-
     if 1 not in bins_by_ne:
         raise ContagionError("need n_e = 1 bins to calibrate the baseline")
     baseline: dict[int, float] = {}
@@ -398,7 +386,7 @@ def fit_enhancement_by_cohort(
     trf: TrfBundle,
     site: str,
     obs_end: int,
-) -> dict[tuple[int, int], "EnhancementTable"]:
+) -> dict[tuple[int, int], EnhancementTable]:
     """Independent enhancement MLE per friend-count band.
 
     Empty cohorts are skipped with a warning rather than failing the batch.

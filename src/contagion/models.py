@@ -185,8 +185,12 @@ class ModelParams:
     def __post_init__(self):
         if self.site not in ("twitter", "digg"):
             raise ContagionError(f"unknown site {self.site!r}")
-        if self.p0 <= 0:
-            raise ContagionError("scale p0 must be positive")
+        if not 0 < self.p0 < math.inf:
+            raise ContagionError(f"scale p0 must be positive and finite, got {self.p0!r}")
+        if not self.log_v_min < math.inf:  # -inf means no floor; NaN fails too
+            raise ContagionError(f"log_v_min must be below infinity, got {self.log_v_min!r}")
+        if self.trf.site != self.site:
+            raise ContagionError(f"trf is for {self.trf.site!r}, model is for {self.site!r}")
 
     @property
     def v_min(self) -> float:

@@ -6,7 +6,7 @@ post) immediately broadcasts an exposure to all followers. The per-second
 Bernoulli process is sampled exactly but lazily: between exposure arrivals
 and delay-bin edges the hazard is constant, so response times come from
 geometric draws over those segments, and a newly arriving exposure simply
-invalidates and re-samples the pending draw. A message arriving in second s
+invalidates and re-samples the scheduled draw. A message arriving in second s
 counts toward the exposure badge from s onward and gains visibility from
 s + 1; duplicate same-second exposures of one user to one item collapse.
 """
@@ -17,14 +17,15 @@ import hashlib
 import heapq
 import math
 from bisect import bisect_right
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import count
 
 import numpy as np
 
 from .atrisk import ModelHazard
 from .errors import ContagionError
-from .events import MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_graph, build_series
+from .events import MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_series
 from .models import ModelParams
 from .visibility import (
     COHORTS,
@@ -59,14 +60,16 @@ class GraphSpec:
     bands: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        if self.users < 2:
-            raise ContagionError("need at least 2 users")
+        if not isinstance(self.users, int) or self.users < 2:
+            raise ContagionError(f"need an integer count of at least 2 users, got {self.users!r}")
         if self.kind not in ("constant", "powerlaw", "bands"):
             raise ContagionError(f"unknown degree spec {self.kind!r}")
         if self.kind == "constant" and not (1 <= self.k <= self.users - 1):
             raise ContagionError(f"constant degree {self.k} infeasible for {self.users} users")
-        if self.kind == "powerlaw" and self.exponent <= 1.0:
-            raise ContagionError("power-law exponent must exceed 1")
+        if self.kind == "powerlaw" and not 1.0 < self.exponent < math.inf:
+            raise ContagionError(f"power-law exponent {self.exponent!r} must be finite and exceed 1")
+        if self.max_degree is not None and self.max_degree < 0:
+            raise ContagionError(f"max_degree {self.max_degree!r} is negative")
         self.bands = tuple((int(c), int(lo), int(hi)) for c, lo, hi in self.bands)
         if self.kind == "bands":
             if not self.bands:
@@ -178,16 +181,13 @@ def generate_graph(spec: GraphSpec, seed: int) -> FollowerGraph:
         degrees = np.minimum(degrees, cap)
     edges: set[tuple[str, str]] = set()
     for i in range(n):
-        k = int(degrees[i])
-        picks = rng.choice(n - 1, size=k, replace=False)
+        picks = rng.choice(n - 1, size=int(degrees[i]), replace=False)
         for j in picks:
             friend = int(j) if j < i else int(j) + 1  # skip self
             edges.add((ids[i], ids[friend]))
-    graph = build_graph([], sorted(edges))
-    for u in ids:
-        graph.users.add(u)
-        graph.friend_count.setdefault(u, 0)
-    return graph
+    # picks are distinct and never the user, so each degree is exact
+    return FollowerGraph(users=set(ids), edges=edges,
+                         friend_count={u: int(k) for u, k in zip(ids, degrees)})
 
 
 class _UserState:
@@ -279,13 +279,13 @@ def _simulate_item(
     out: list[Event],
 ) -> None:
     state: dict[str, _UserState] = defaultdict(_UserState)
-    # heap entries: (time, priority, seq, user, version); posts outrank draws
+    # heap entries: (time, priority, seq, user, version). At one second,
+    # residual successes (-1) pop first, then posts (0), then drawn
+    # responses (1); seq keeps each priority first-in, first-out.
     heap: list[tuple[int, int, int, str, int]] = []
-    seq = 0
-    pending: deque[tuple[str, int]] = deque()
+    seq = count(1)
 
     def schedule(user: str, st: _UserState, start: int) -> None:
-        nonlocal seq
         st.version += 1
         n_f = friend_count.get(user, 0)
         if hazard.site == "digg":
@@ -297,8 +297,7 @@ def _simulate_item(
             t_resp = _sample_response(segs, rng)
         st.candidate = t_resp
         if t_resp is not None:
-            seq += 1
-            heapq.heappush(heap, (t_resp, 1, seq, user, st.version))
+            heapq.heappush(heap, (t_resp, 1, next(seq), user, st.version))
 
     def broadcast(user: str, t: int) -> None:
         for f in followers.get(user, ()):  # sorted, deterministic
@@ -325,9 +324,9 @@ def _simulate_item(
             if lam_new > lam_old and lam_old < 1.0:
                 residual = (lam_new - lam_old) / (1.0 - lam_old)
                 if rng.random() < residual:
-                    st.version += 1  # drop any pending candidate
+                    st.version += 1  # drop any scheduled candidate
                     st.candidate = None
-                    pending.append((f, t))
+                    heapq.heappush(heap, (t, -1, next(seq), f, st.version))
                     continue
             schedule(f, st, t + 1)
 
@@ -339,8 +338,7 @@ def _simulate_item(
 
     for t_post, poster in posts:
         state[poster].posted = True  # from the start: never at risk
-        seq += 1
-        heapq.heappush(heap, (t_post, 0, seq, poster, 0))
+        heapq.heappush(heap, (t_post, 0, next(seq), poster, 0))
 
     while heap:
         t, prio, _, user, version = heapq.heappop(heap)
@@ -348,15 +346,8 @@ def _simulate_item(
         if prio == 0:
             out.append(Event("post", user, item, t))
             broadcast(user, t)
-        else:
-            if st.responded or st.posted or st.version != version:
-                continue
+        elif not (st.responded or st.posted or st.version != version):
             respond(user, st, t)
-        while pending:
-            f, tp = pending.popleft()
-            fst = state[f]
-            if not fst.responded and not fst.posted:
-                respond(f, fst, tp)
 
 
 def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) -> list[Event]:
@@ -465,7 +456,6 @@ def recovery_experiment(
     prior measurement. The fitted curve is checked for shape only.
     """
     from .inference import (
-        collect_visibility_bins,
         fit_enhancement,
         fit_scale_and_floor,
         pooled_visibility_bins,
@@ -501,11 +491,8 @@ def recovery_experiment(
         shape_errors[nf] = abs(est - true) / abs(true)
 
     sus_fn = truth.params.susceptibility.analytic
-    raw_bins = collect_visibility_bins(series, sus_fn, trf_est, site, horizon)
-    curve = scale_fit_curve(
-        series, sus_fn, trf_est, site, horizon,
-        min_responses=min_fit_responses, raw=raw_bins,
-    )
+    curve = scale_fit_curve(series, sus_fn, trf_est, site, horizon,
+                            min_responses=min_fit_responses)
     p0_est, v_est = fit_scale_and_floor(curve)
 
     # The enhancement MLE matches baseline and multi-exposure counts on

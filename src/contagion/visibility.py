@@ -60,8 +60,8 @@ class TimeResponseFunction:
         # the fast paths find a delay's bin from its bit length
         if self.bin_edges != tuple(1 << k for k in range(len(self.bin_edges))):
             raise ContagionError(f"bin edges {self.bin_edges} are not 1, 2, 4, ... (powers of two)")
-        if any(d < 0 for d in self.density):
-            raise ContagionError("densities must be non-negative")
+        if not all(0.0 <= d < math.inf for d in self.density):
+            raise ContagionError(f"densities must be finite and non-negative, got {self.density}")
         mass = self.total_mass
         if mass > 0 and abs(mass - 1.0) > 1e-9:
             raise ContagionError(f"density mass {mass!r} is not 1")
@@ -235,15 +235,19 @@ class SusceptibilityForm(str, Enum):
     TWITTER = "twitter"
 
 
-DIGG_PARAM_NAMES = ("A", "B", "C", "D", "E")
-TWITTER_PARAM_NAMES = ("A", "P", "B")
+# Each closed form's constants, in order; True marks a positive constant
+# that the fit searches in log space.
+FORM_PARAMS: dict[SusceptibilityForm, dict[str, bool]] = {
+    SusceptibilityForm.DIGG: {"A": True, "B": False, "C": True, "D": True, "E": True},
+    SusceptibilityForm.TWITTER: {"A": True, "P": False, "B": True},
+}
 
 
 def evaluate_form(form: SusceptibilityForm, params: dict[str, float], n_f: float) -> float:
     if form == SusceptibilityForm.DIGG:
-        a, b, c, d, e = (params[k] for k in DIGG_PARAM_NAMES)
+        a, b, c, d, e = (params[k] for k in FORM_PARAMS[form])
         return a / ((math.exp(b * n_f) + c) * (n_f + d) * (n_f + e))
-    a, p, b = (params[k] for k in TWITTER_PARAM_NAMES)
+    a, p, b = (params[k] for k in FORM_PARAMS[form])
     return a * n_f**p / (n_f + b)
 
 
@@ -258,6 +262,13 @@ class SusceptibilityCurve:
     empirical: dict[int, tuple[int, int]] = field(default_factory=dict)
     form: SusceptibilityForm | None = None
     params: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        names = FORM_PARAMS[self.form].keys() if self.form is not None else set()
+        if self.params and (self.params.keys() != names
+                            or not all(math.isfinite(v) for v in self.params.values())):
+            raise ContagionError(f"form {self.form} needs finite constants {sorted(names)}, "
+                                 f"got {self.params}")
 
     def probability(self, n_f: int) -> float:
         responses, trials = self.empirical[n_f]
@@ -308,23 +319,13 @@ def estimate_susceptibility(series_list) -> SusceptibilityCurve:
 
 
 def _pack(form: SusceptibilityForm, params: dict[str, float]) -> np.ndarray:
-    if form == SusceptibilityForm.DIGG:
-        a, b, c, d, e = (params[k] for k in DIGG_PARAM_NAMES)
-        return np.array([math.log(a), b, math.log(c), math.log(d), math.log(e)])
-    a, p, b = (params[k] for k in TWITTER_PARAM_NAMES)
-    return np.array([math.log(a), p, math.log(b)])
+    return np.array([math.log(params[k]) if in_log else params[k]
+                     for k, in_log in FORM_PARAMS[form].items()])
 
 
 def _unpack(form: SusceptibilityForm, x: np.ndarray) -> dict[str, float]:
-    if form == SusceptibilityForm.DIGG:
-        return {
-            "A": math.exp(x[0]),
-            "B": float(x[1]),
-            "C": math.exp(x[2]),
-            "D": math.exp(x[3]),
-            "E": math.exp(x[4]),
-        }
-    return {"A": math.exp(x[0]), "P": float(x[1]), "B": math.exp(x[2])}
+    return {k: math.exp(v) if in_log else float(v)
+            for (k, in_log), v in zip(FORM_PARAMS[form].items(), x)}
 
 
 def _rms_log_error(form, params, points) -> float:
@@ -351,7 +352,7 @@ def fit_susceptibility_analytic(
     points = [
         (nf, r / t) for nf, (r, t) in sorted(curve.empirical.items()) if r > 0
     ]
-    n_params = 5 if form == SusceptibilityForm.DIGG else 3
+    n_params = len(FORM_PARAMS[form])
     if len(points) < n_params:
         raise FitError(
             f"{len(points)} usable friend-count bins cannot determine "

@@ -415,3 +415,58 @@ def test_readme_library_example_runs(sim_dir, monkeypatch):
     (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     monkeypatch.chdir(sim_dir)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is None:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("path,value,expected", [
+    (("susceptibility", "params", "E"), None, "needs finite constants"),
+    (("p0",), math.nan, "p0 must be positive and finite"),
+    (("p0",), math.inf, "p0 must be positive and finite"),
+    (("log_v_min",), math.nan, "log_v_min must be below infinity"),
+    (("trf", "t1", "density", 0), math.nan, "densities must be finite"),
+    (("trf", "site"), "twitter", "trf is for 'twitter', model is for 'digg'"),
+], ids=["constant missing", "NaN p0", "infinite p0", "NaN log_v_min", "NaN density",
+        "trf for another site"])
+def test_forecast_rejects_a_malformed_model(path, value, expected, sim_dir, fit_dir, tmp_path):
+    doc = json.loads((fit_dir / "model.json").read_text())
+    _set(doc, path, value)
+    model = tmp_path / "bad_model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _forecast(sim_dir, model, out) == 1
+    assert expected in (out / "error.txt").read_text()
+
+
+@pytest.mark.parametrize("graph,expected", [
+    ({"users": 50, "kind": "powerlaw", "max_degree": -1}, "max_degree -1 is negative"),
+    ({"users": 10.5, "kind": "powerlaw"}, "integer count of at least 2 users"),
+    ({"users": 50, "kind": "powerlaw", "exponent": math.nan}, "exponent nan must be finite"),
+], ids=["negative max_degree", "fractional users", "NaN exponent"])
+def test_simulate_rejects_a_malformed_graph_spec(graph, expected, truth_config, tmp_path):
+    doc = json.loads(truth_config.read_text())
+    doc["graph"] = graph
+    config = tmp_path / "bad_truth.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert expected in (out / "error.txt").read_text()
+
+
+def test_fit_rejects_a_lone_surrogate_id(sim_dir, tmp_path):
+    log = tmp_path / "events.jsonl"
+    log.write_text('{"kind":"exposure","user":"a","item":"\\ud800","time":1,"exposer":"b"}\n')
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["fit", "--events", str(log), "--graph", str(sim_dir / "graph.jsonl"),
+                 "--out", str(out)]) == 1
+    assert "line 1: id holds a lone surrogate" in (out / "error.txt").read_text()

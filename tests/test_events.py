@@ -256,3 +256,14 @@ def test_series_invariants_enforced():
         ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5,), response_time=4)
     s = ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5, 9), response_time=5)
     assert len(s.at_risk_exposures) >= 1
+
+
+@pytest.mark.parametrize("field", ["user", "item", "exposer"])
+def test_lone_surrogate_id_is_rejected_with_its_line(tmp_path, field):
+    row = {"kind": "exposure", "user": "a", "item": "x", "time": 1, "exposer": "b"}
+    row[field] = "u\ud800"
+    path = tmp_path / "events.jsonl"
+    write_lines(path, [{"kind": "post", "user": "b", "item": "x", "time": 0}, row])
+    with pytest.raises(EventLogError) as err:
+        load_event_log(path)
+    assert err.value.line == 2

@@ -4,6 +4,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion.errors import ContagionError
 from contagion.events import FollowerGraph, build_series, write_event_log
@@ -311,3 +313,32 @@ class TestSupportingPieces:
             )
             errors.append(err)
         assert errors[2] < errors[1] < errors[0]
+
+
+@st.composite
+def graph_specs(draw):
+    users = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["constant", "powerlaw", "bands"]))
+    if kind == "constant":
+        return GraphSpec(users=users, kind=kind, k=draw(st.integers(1, users - 1)))
+    if kind == "powerlaw":
+        return GraphSpec(users=users, kind=kind,
+                         exponent=draw(st.floats(1.05, 4.0)),
+                         max_degree=draw(st.none() | st.integers(0, 2 * users)))
+    bands, left = [], users
+    for _ in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(0, left))
+        lo = draw(st.integers(1, users - 1))
+        bands.append((count, lo, draw(st.integers(lo, users - 1))))
+        left -= count
+    return GraphSpec(users=users, kind=kind, bands=tuple(bands))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=graph_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_graph_counts_match_its_edges(spec, seed):
+    graph = generate_graph(spec, seed)
+    assert graph.users == set(user_ids(spec.users))
+    assert all(follower != friend for follower, friend in graph.edges)
+    out_degree = Counter(follower for follower, _ in graph.edges)
+    assert graph.friend_count == {u: out_degree[u] for u in graph.users}
