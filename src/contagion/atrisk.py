@@ -11,12 +11,20 @@ first exposure drives visibility, nu = p * T(dt_1); in the chronological
 The per-message multiplier p is the susceptibility p_nf, except for the digg
 hazard, which takes p = p0 * p_nf; :class:`ModelHazard` owns that rule for
 the simulator and forecasting.
+
+Visibility binning does not loop over :func:`risk_segments` series by
+series: :func:`block_segments` computes the same segments for a block of
+series in one numpy pass, with bit-identical (n_e, nu). The scalar
+functions stay as its reference.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .binning import delay_bin
 from .events import ExposureSeries
@@ -144,3 +152,92 @@ def risk_segments(
         end = series.response_time
     times = series.exposure_times
     return visibility_segments(times, p_nf, densities, edges, site, times[0], end + 1)
+
+
+def _delay_bins(dt: np.ndarray, n_bins: int) -> np.ndarray:
+    """Delay bin of each dt (its bit length minus one), or n_bins outside [1, 2**n_bins)."""
+    inside = (dt >= 1) & (dt < 1 << n_bins)
+    # frexp's exponent is the exact bit length of an integer below 2**53
+    bits = np.frexp(np.where(inside, dt, 1).astype(np.float64))[1]
+    return np.where(inside, bits - 1, n_bins)
+
+
+def block_segments(
+    series: Sequence[ExposureSeries],
+    p_dens: np.ndarray,
+    rows: np.ndarray,
+    edges,
+    site: str,
+    obs_end: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`risk_segments` of a block of series at once, as arrays.
+
+    ``p_dens[r]`` holds ``p * density`` per delay bin of friend-count row r,
+    then ``p * 0.0`` for delays outside the support; ``rows[i]`` is series
+    i's row. Returns (series index, length, n_e, nu, holds the response),
+    one entry per segment in (series, segment) order. Every nu is the same
+    float expression :func:`visibility_at` evaluates, so it is bit-identical.
+    """
+    n = len(series)
+    counts = np.fromiter((len(s.exposure_times) for s in series), np.int64, n)
+    times = np.fromiter(
+        chain.from_iterable(s.exposure_times for s in series), np.int64, int(counts.sum())
+    )
+    first = np.cumsum(counts) - counts
+    t_from = times[first]
+    response = np.fromiter(
+        (obs_end + 1 if s.response_time is None else s.response_time for s in series), np.int64, n
+    )
+    responded = response <= obs_end
+    t_to = np.minimum(response, obs_end) + 1
+
+    # breakpoints as in visibility_segments, flagged 1 where an exposure arrives;
+    # the first exposure is t_from, and points outside [t_from, t_to] drop out
+    owner = np.repeat(np.arange(n), counts)
+    # delay clocks start at every exposure on twitter, at the first on digg
+    onset, onset_owner = (times, owner) if site == "twitter" else (t_from, np.arange(n))
+    edge_arr = np.asarray(edges, dtype=np.int64)
+    point = np.concatenate((t_to, times, (onset[:, None] + edge_arr).ravel()))
+    sid = np.concatenate((np.arange(n), owner, np.repeat(onset_owner, len(edges))))
+    arrives = np.zeros(len(point), dtype=np.int64)
+    arrives[n : n + len(times)] = 1
+    lo, hi = t_from[sid], t_to[sid]
+    keep = (lo < hi) & (lo <= point) & (point <= hi)
+    point, sid, arrives = point[keep], sid[keep], arrives[keep]
+    # an arrival that is also an onset-plus-edge second sorts first and is kept
+    order = np.lexsort((-arrives, point, sid))
+    point, sid, arrives = point[order], sid[order], arrives[order]
+    new = np.ones(len(point), dtype=bool)
+    new[1:] = (sid[1:] != sid[:-1]) | (point[1:] != point[:-1])
+    point, sid, arrives = point[new], sid[new], arrives[new]
+
+    is_seg = sid[:-1] == sid[1:]  # point i opens a segment ending at point i + 1
+    first_point = np.ones(len(point), dtype=bool)
+    first_point[1:] = ~is_seg
+    # n_e: running count of arrivals, restarted per series (each opens on one)
+    seen = np.cumsum(arrives)
+    n_e_at = seen - np.maximum.accumulate(np.where(first_point, seen - 1, 0))
+
+    start = point[:-1][is_seg]
+    seg_sid = sid[:-1][is_seg]
+    length = point[1:][is_seg] - start
+    n_e = n_e_at[:-1][is_seg]
+    # the response second lies in its series' last segment
+    last_point = np.ones(len(point), dtype=bool)
+    last_point[:-1] = ~is_seg
+    holds = responded[seg_sid] & last_point[1:][is_seg]
+
+    n_bins = len(edges) - 1
+    seg_row = rows[seg_sid]
+    if site == "digg":
+        nu = p_dens[seg_row, _delay_bins(start - t_from[seg_sid], n_bins)]
+    else:
+        # nu = 1 - prod(1 - p * T(dt_i)), multiplied in exposure order
+        prod = np.ones(len(start))
+        live = np.arange(len(start))
+        for j in range(int(n_e.max(initial=0))):
+            live = live[n_e[live] > j]
+            te = times[first[seg_sid[live]] + j]
+            prod[live] *= 1.0 - p_dens[seg_row[live], _delay_bins(start[live] - te, n_bins)]
+        nu = 1.0 - prod
+    return seg_sid, length, n_e, nu, holds

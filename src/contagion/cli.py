@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, inference
@@ -87,7 +88,7 @@ def _read_truth(args) -> GroundTruth:
     """Read ``--config`` and apply ``--seed``."""
     truth = _read_json_doc(args.config, GroundTruth.from_json_dict)
     if args.seed is not None:
-        truth.rng_seed = args.seed
+        truth = replace(truth, rng_seed=args.seed)  # re-checks the seed
     return truth
 
 

@@ -23,6 +23,9 @@ KINDS = ("post", "exposure", "response")
 
 # Any (user, item) pair with this many exposures or more is dropped as spam.
 MAX_EXPOSURES = 20
+# Event times and an observation end stay below this: integers are exact as
+# doubles up to it, and the binning pass adds delay edges to times in int64.
+MAX_TIME = 2**53
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +77,8 @@ class ExposureSeries:
             raise ContagionError("exposure times must be strictly ascending")
         if self.response_time is not None and self.response_time < self.exposure_times[0]:
             raise ContagionError("response precedes first exposure")
+        if max(self.exposure_times[-1], self.response_time or 0) >= MAX_TIME:
+            raise ContagionError("series times must lie below 2**53")
 
     @property
     def at_risk_exposures(self) -> tuple[int, ...]:
@@ -135,6 +140,8 @@ def _parse_line(line: str, lineno: int) -> Event:
     time = int(raw_time)  # sub-second stamps truncate to whole seconds
     if time < 0:
         raise EventLogError(f"negative time {raw_time!r}", line=lineno)
+    if time >= MAX_TIME:
+        raise EventLogError(f"time {raw_time!r} is not below 2**53", line=lineno)
     exposer = obj.get("exposer")
     if exposer is not None:
         exposer = str(exposer)

@@ -20,9 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .atrisk import risk_segments
+# risk_segments is the scalar reference for block_segments (and the name
+# perfbench's segment counter wraps), kept importable from here
+from .atrisk import block_segments, risk_segments  # noqa: F401
 from .binning import FLOOR_BIN, log_bin_center, log_bin_index
 from .errors import BracketError, ContagionError, FitError
+from .events import MAX_TIME
 from .models import EnhancementTable
 from .visibility import TrfBundle
 
@@ -30,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 MIN_TRIALS = 30  # calibration points below this are flagged, not fitted
 MIN_BASELINE_RESPONSES = 50  # exact cells pool until their n_e = 1 part has this many
+BLOCK_SERIES = 256  # series segmented per numpy pass; bounds the pass's extra memory
 # log10 ranges of the coarse (p0, v_min) grid that seeds the simplex descent
 GRID_LOG10_P0 = (-4.0, 5.0)
 GRID_LOG10_V = (-12.0, -0.5)
@@ -145,33 +149,62 @@ def collect_visibility_bins(
     visibility is exactly zero pool into the floor bin. With ``exact`` every
     distinct computed visibility value keys its own cell instead (exact
     matching across exposure counts, at the cost of many small cells).
+
+    ``series_list`` is a sequence; it is segmented ``BLOCK_SERIES`` series
+    at a time by :func:`atrisk.block_segments`. The result equals a loop over
+    :func:`atrisk.risk_segments` series by series, float bits included:
+    segments keep their (series, segment) order, log bins come from
+    :func:`log_bin_index` itself, cells are keyed in order of first
+    occurrence, and ``np.add.at`` adds each ``nu * length`` to its cell's
+    ``sum_nu`` one at a time in that order.
     """
+    if obs_end >= MAX_TIME:
+        raise ContagionError(f"obs_end {obs_end} is not below 2**53")
     edges = trf.bin_edges
+    nf_row: dict[int, int] = {}
+    p_dens_rows: list[list[float]] = []  # p * density per delay bin, then p * 0.0
+    slot_of: dict[tuple, int] = {}  # (n_e, bin key) -> cell, in order of first occurrence
+    trials: list[int] = []
+    responses: list[int] = []
+    sum_nu = np.zeros(0)
+    for lo in range(0, len(series_list), BLOCK_SERIES):
+        block = series_list[lo : lo + BLOCK_SERIES]
+        for s in block:
+            if s.n_f not in nf_row:
+                p_nf = susceptibility(s.n_f)
+                nf_row[s.n_f] = len(p_dens_rows)
+                p_dens_rows.append([p_nf * d for d in trf.densities_for(s.n_f)] + [p_nf * 0.0])
+        rows = np.fromiter((nf_row[s.n_f] for s in block), np.int64, len(block))
+        _, length, n_e, nu, holds = block_segments(
+            block, np.array(p_dens_rows), rows, edges, site, obs_end
+        )
+        values, value_code = np.unique(nu, return_inverse=True)
+        labels = values.tolist()
+        if not exact:  # log_bin_index itself: np.log10 may differ by one ulp
+            labels = [log_bin_index(v) for v in labels]
+        pairs, first, pair_code = np.unique(
+            n_e * len(values) + value_code, return_index=True, return_inverse=True
+        )
+        # integer counts per (n_e, value) pair, added to the cells as Python ints
+        block_trials = np.zeros(len(pairs), dtype=np.int64)
+        np.add.at(block_trials, pair_code, length)
+        block_trials = block_trials.tolist()
+        block_responses = np.bincount(pair_code[holds], minlength=len(pairs)).tolist()
+        pair_slot = np.empty(len(pairs), dtype=np.int64)
+        for i in np.argsort(first).tolist():
+            n_e_i, value_i = divmod(int(pairs[i]), len(values))
+            slot = pair_slot[i] = slot_of.setdefault((n_e_i, labels[value_i]), len(slot_of))
+            if slot == len(trials):
+                trials.append(0)
+                responses.append(0)
+            trials[slot] += block_trials[i]
+            responses[slot] += block_responses[i]
+        if len(slot_of) > len(sum_nu):
+            sum_nu = np.pad(sum_nu, (0, max(len(slot_of), 2 * len(sum_nu)) - len(sum_nu)))
+        np.add.at(sum_nu, pair_slot[pair_code], nu * length)
     out: dict[int, dict] = {}
-    dens_cache: dict[int, tuple] = {}
-    for s in series_list:
-        cached = dens_cache.get(s.n_f)
-        if cached is None:
-            p_nf = susceptibility(s.n_f)
-            dens = trf.densities_for(s.n_f)
-            # single-message nu values repeat per delay bin: index them once
-            nu_idx = {} if exact else {
-                nu: log_bin_index(nu) for nu in (0.0, *(p_nf * d for d in dens))
-            }
-            cached = (p_nf, dens, nu_idx)
-            dens_cache[s.n_f] = cached
-        p_nf, dens, nu_idx = cached
-        segs = risk_segments(s, p_nf, dens, edges, site, obs_end)
-        responded = s.response_time is not None and s.response_time <= obs_end
-        for start, end, n_e, nu in segs:
-            idx = nu if exact else nu_idx.get(nu)
-            if idx is None:
-                idx = log_bin_index(nu)
-            cell = out.setdefault(n_e, {}).setdefault(idx, [0, 0, 0.0])
-            cell[0] += end - start
-            cell[2] += nu * (end - start)
-            if responded and start <= s.response_time < end:
-                cell[1] += 1
+    for (n_e, idx), n, r, snu in zip(slot_of, trials, responses, sum_nu.tolist()):
+        out.setdefault(n_e, {})[idx] = [n, r, snu]
     return out
 
 

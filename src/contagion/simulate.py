@@ -42,6 +42,13 @@ from .binning import pow2_edges
 KIND_RANK = {"post": 0, "exposure": 1, "response": 2}
 
 
+def _require_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """Raise unless value is an int (not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ContagionError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass
 class GraphSpec:
     """Out-degree law for synthetic graphs.
@@ -64,8 +71,8 @@ class GraphSpec:
             raise ContagionError(f"need an integer count of at least 2 users, got {self.users!r}")
         if self.kind not in ("constant", "powerlaw", "bands"):
             raise ContagionError(f"unknown degree spec {self.kind!r}")
-        if self.kind == "constant" and not (1 <= self.k <= self.users - 1):
-            raise ContagionError(f"constant degree {self.k} infeasible for {self.users} users")
+        if self.kind == "constant":
+            _require_int(f"constant degree for {self.users} users", self.k, 1, self.users - 1)
         if self.kind == "powerlaw" and not 1.0 < self.exponent < math.inf:
             raise ContagionError(f"power-law exponent {self.exponent!r} must be finite and exceed 1")
         if self.max_degree is not None and self.max_degree < 0:
@@ -98,11 +105,11 @@ class Seeding:
         if isinstance(self.posters_per_item, int):
             self.posters_per_item = (self.posters_per_item,)
         else:
-            self.posters_per_item = tuple(int(k) for k in self.posters_per_item)
-        if self.items < 1 or any(k < 1 for k in self.posters_per_item):
-            raise ContagionError("seeding counts must be positive")
-        if self.post_time_spread < 0:
-            raise ContagionError("post time spread cannot be negative")
+            self.posters_per_item = tuple(self.posters_per_item)
+        _require_int("items", self.items, 1)
+        for k in self.posters_per_item:
+            _require_int("posters_per_item", k, 1)
+        _require_int("post_time_spread", self.post_time_spread, 0)
 
     def posters_for(self, item_index: int) -> int:
         cycle = self.posters_per_item
@@ -118,8 +125,8 @@ class GroundTruth:
     rng_seed: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ContagionError("horizon must be at least one second")
+        _require_int("horizon", self.horizon, 1)
+        _require_int("rng_seed", self.rng_seed, 0)
 
     def to_json_dict(self) -> dict:
         return {

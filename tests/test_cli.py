@@ -197,6 +197,15 @@ def test_forecast_obs_end_truncates_windows(sim_dir, fit_dir, tmp_path):
     assert cut == [row for row in full if row[2] <= obs_end]
 
 
+def test_fit_rejects_an_obs_end_past_2_pow_53(sim_dir, tmp_path):
+    out = tmp_path / "fit"
+    out.mkdir()
+    assert main(["fit", "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--obs-end", str(2**53),
+                 "--out", str(out)]) == 1
+    assert "obs_end 9007199254740992 is not below 2**53" in (out / "error.txt").read_text()
+
+
 def test_enhance_writes_cohort_tables(sim_dir, fit_dir, tmp_path):
     out = tmp_path / "enh"
     out.mkdir()
@@ -460,6 +469,37 @@ def test_simulate_rejects_a_malformed_graph_spec(graph, expected, truth_config, 
     out.mkdir()
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert expected in (out / "error.txt").read_text()
+
+
+@pytest.mark.parametrize("path,value,expected", [
+    (("seeding", "items"), 1.5, "items must be an integer >= 1, got 1.5"),
+    (("seeding", "items"), True, "items must be an integer >= 1, got True"),
+    (("seeding", "posters_per_item"), [160, 2.5], "posters_per_item must be an integer"),
+    (("seeding", "post_time_spread"), 1.5, "post_time_spread must be an integer >= 0"),
+    (("rng_seed",), -1, "rng_seed must be an integer >= 0, got -1"),
+    (("rng_seed",), 1.5, "rng_seed must be an integer >= 0, got 1.5"),
+    (("horizon",), 1.5, "horizon must be an integer >= 1, got 1.5"),
+    (("graph",), {"users": 50, "kind": "constant", "k": 1.5},
+     "constant degree for 50 users must be an integer in [1, 49], got 1.5"),
+], ids=["fractional items", "boolean items", "fractional posters", "fractional spread",
+        "negative seed", "fractional seed", "fractional horizon", "fractional constant k"])
+def test_simulate_rejects_a_malformed_truth_number(path, value, expected, truth_config, tmp_path):
+    doc = json.loads(truth_config.read_text())
+    _set(doc, path, value)
+    config = tmp_path / "bad_truth.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert expected in (out / "error.txt").read_text()
+
+
+def test_simulate_rejects_a_negative_seed_flag(truth_config, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(truth_config), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    assert "rng_seed must be an integer >= 0, got -1" in (out / "error.txt").read_text()
 
 
 def test_fit_rejects_a_lone_surrogate_id(sim_dir, tmp_path):

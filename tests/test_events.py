@@ -75,6 +75,20 @@ def test_non_finite_time_errors_with_line_number(tmp_path, raw_time):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("raw_time", ["9007199254740992", "1e19"])
+def test_time_past_2_pow_53_errors_with_line_number(tmp_path, raw_time):
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"kind": "post", "user": "a", "item": "x", "time": 9007199254740991}\n'
+        f'{{"kind": "exposure", "user": "a", "item": "x", "time": {raw_time}, "exposer": "b"}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(EventLogError) as err:
+        load_event_log(path)
+    assert err.value.line == 2
+    assert "is not below 2**53" in str(err.value)
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     write_lines(path, [{"kind": "retweet", "user": "a", "item": "x", "time": 1}])
@@ -256,6 +270,13 @@ def test_series_invariants_enforced():
         ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5,), response_time=4)
     s = ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5, 9), response_time=5)
     assert len(s.at_risk_exposures) >= 1
+
+
+def test_series_times_must_lie_below_2_pow_53():
+    for times, response in (((5, 2**53), None), ((5,), 2**53)):
+        with pytest.raises(ContagionError, match="below 2\\*\\*53"):
+            ExposureSeries(user="a", item="x", n_f=1, exposure_times=times, response_time=response)
+    ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5, 2**53 - 1), response_time=2**53 - 1)
 
 
 @pytest.mark.parametrize("field", ["user", "item", "exposer"])
