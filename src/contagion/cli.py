@@ -36,19 +36,14 @@ from .inference import (
 from .models import EnhancementTable, ModelParams
 from .simulate import (
     GroundTruth,
+    estimate_visibility,
     generate_graph,
     recovery_experiment,
     simulate_cascades,
     train_test_split,
 )
-from .visibility import (
-    COHORTS,
-    SusceptibilityForm,
-    TrfBundle,
-    estimate_susceptibility,
-    estimate_trf,
-    fit_susceptibility_analytic,
-)
+# unused here: perfbench's tracer wraps them in this module too (tests/test_trace_targets.py)
+from .visibility import estimate_susceptibility, estimate_trf, fit_susceptibility_analytic  # noqa: F401
 
 log = logging.getLogger("contagion")
 
@@ -137,18 +132,7 @@ def cmd_fit(args) -> int:
     events, series, obs_end = _ingest(args, diagnostics)
 
     site = args.site
-    horizon = args.trf_horizon
-    single_only = site == "twitter"
-    bundle = TrfBundle(
-        t1=estimate_trf(series, COHORTS["T1"], single_only, horizon, "T1"),
-        t10=estimate_trf(series, COHORTS["T10"], single_only, horizon, "T10"),
-        t100=estimate_trf(series, COHORTS["T100"], single_only, horizon, "T100"),
-        site=site,
-    )
-    curve = estimate_susceptibility(series)
-    curve.form = SusceptibilityForm(site)
-    params = fit_susceptibility_analytic(curve, curve.form)
-    curve.params = params
+    bundle, curve = estimate_visibility(series, site, args.trf_horizon)
     sus = curve.analytic
 
     # One visibility pass feeds the scale fit and the enhancement bins. It is
@@ -176,7 +160,7 @@ def cmd_fit(args) -> int:
         "series": len(series),
         "p0": p0,
         "log_v_min": math.log(v_min) if v_min > 0 else None,
-        "susceptibility_params": params,
+        "susceptibility_params": curve.params,
         "enhancement": {str(k): v for k, v in sorted(table.values.items())},
         "scale_fit_points": len(fit_curve.points),
         "ingest": diagnostics.__dict__,

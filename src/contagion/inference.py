@@ -160,6 +160,8 @@ def collect_visibility_bins(
     """
     if obs_end >= MAX_TIME:
         raise ContagionError(f"obs_end {obs_end} is not below 2**53")
+    if site != trf.site:
+        raise ContagionError(f"binning for {site!r} with a TRF bundle for {trf.site!r}")
     edges = trf.bin_edges
     nf_row: dict[int, int] = {}
     p_dens_rows: list[list[float]] = []  # p * density per delay bin, then p * 0.0

@@ -23,18 +23,19 @@ from itertools import count
 
 import numpy as np
 
+from . import inference
 from .atrisk import ModelHazard
 from .errors import ContagionError
 from .events import MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_series
 from .models import ModelParams
 from .visibility import (
     COHORTS,
+    SusceptibilityCurve,
     SusceptibilityForm,
     TimeResponseFunction,
     TrfBundle,
     estimate_susceptibility,
     estimate_trf,
-    evaluate_form,
     fit_susceptibility_analytic,
 )
 from .binning import pow2_edges
@@ -42,9 +43,13 @@ from .binning import pow2_edges
 KIND_RANK = {"post": 0, "exposure": 1, "response": 2}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(name: str, value, low: int, high: float = math.inf) -> None:
     """Raise unless value is an int (not a bool) in [low, high]."""
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+    if not _is_int(value) or not low <= value <= high:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ContagionError(f"{name} must be an integer {bound}, got {value!r}")
 
@@ -67,7 +72,7 @@ class GraphSpec:
     bands: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.users, int) or self.users < 2:
+        if not _is_int(self.users) or self.users < 2:
             raise ContagionError(f"need an integer count of at least 2 users, got {self.users!r}")
         if self.kind not in ("constant", "powerlaw", "bands"):
             raise ContagionError(f"unknown degree spec {self.kind!r}")
@@ -75,17 +80,20 @@ class GraphSpec:
             _require_int(f"constant degree for {self.users} users", self.k, 1, self.users - 1)
         if self.kind == "powerlaw" and not 1.0 < self.exponent < math.inf:
             raise ContagionError(f"power-law exponent {self.exponent!r} must be finite and exceed 1")
-        if self.max_degree is not None and self.max_degree < 0:
-            raise ContagionError(f"max_degree {self.max_degree!r} is negative")
-        self.bands = tuple((int(c), int(lo), int(hi)) for c, lo, hi in self.bands)
+        if self.max_degree is not None and not (_is_int(self.max_degree) and self.max_degree >= 0):
+            raise ContagionError(f"max_degree {self.max_degree!r} is negative or not an integer")
+        self.bands = tuple(tuple(band) for band in self.bands)
+        for band in self.bands:
+            if len(band) != 3 or not all(map(_is_int, band)):
+                raise ContagionError(f"band {band!r} is not three integers (count, lo, hi)")
+            c, lo, hi = band
+            if c < 0 or lo < 1 or hi < lo or hi > self.users - 1:
+                raise ContagionError(f"invalid band {band}")
         if self.kind == "bands":
             if not self.bands:
                 raise ContagionError("bands spec needs at least one band")
             if sum(c for c, _, _ in self.bands) > self.users:
                 raise ContagionError("band counts exceed the user count")
-            for c, lo, hi in self.bands:
-                if c < 0 or lo < 1 or hi < lo or hi > self.users - 1:
-                    raise ContagionError(f"invalid band ({c}, {lo}, {hi})")
 
 
 @dataclass
@@ -209,7 +217,7 @@ class _UserState:
 
 
 class _Hazard(ModelHazard):
-    """The model hazard plus the simulation horizon and the digg sampler."""
+    """The model hazard plus the simulation horizon and the per-site sampler."""
 
     def __init__(self, params: ModelParams, horizon: int):
         super().__init__(params)
@@ -235,13 +243,18 @@ class _Hazard(ModelHazard):
         self._prefix[key] = out
         return out
 
-    def sample_first_driven(self, n_f: int, n_e: int, t1: int, start: int, rng) -> int | None:
-        """Inverse-transform draw of the response second for the digg model.
+    def sample(self, n_f: int, exposures: list[int], start: int, rng) -> int | None:
+        """The response second drawn from ``start`` on, or None past the horizon.
 
-        One uniform resolves the whole schedule against the cached
-        log-survival prefix; O(bins) scan, no per-segment draws.
+        Twitter draws each hazard run in turn. Digg visibility follows the
+        first exposure only, so one uniform resolves the whole schedule by
+        inverse transform against the cached log-survival prefix; O(bins)
+        scan, no per-run draws.
         """
-        bounds, cum, slopes = self._digg_prefix(n_f, n_e)
+        if self.site == "twitter":
+            return _sample_response(self.runs(n_f, exposures, start, self.horizon + 1), rng)
+        t1 = exposures[0]
+        bounds, cum, slopes = self._digg_prefix(n_f, len(exposures))
         d0 = start - t1
         if d0 < 0:
             d0 = 0
@@ -294,15 +307,7 @@ def _simulate_item(
 
     def schedule(user: str, st: _UserState, start: int) -> None:
         st.version += 1
-        n_f = friend_count.get(user, 0)
-        if hazard.site == "digg":
-            t_resp = hazard.sample_first_driven(
-                n_f, len(st.exposures), st.exposures[0], start, rng
-            )
-        else:
-            segs = hazard.runs(n_f, st.exposures, start, hazard.horizon + 1)
-            t_resp = _sample_response(segs, rng)
-        st.candidate = t_resp
+        t_resp = st.candidate = hazard.sample(friend_count.get(user, 0), st.exposures, start, rng)
         if t_resp is not None:
             heapq.heappush(heap, (t_resp, 1, next(seq), user, st.version))
 
@@ -331,17 +336,11 @@ def _simulate_item(
             if lam_new > lam_old and lam_old < 1.0:
                 residual = (lam_new - lam_old) / (1.0 - lam_old)
                 if rng.random() < residual:
+                    # pops before any later second, so the stale candidate is never read
                     st.version += 1  # drop any scheduled candidate
-                    st.candidate = None
                     heapq.heappush(heap, (t, -1, next(seq), f, st.version))
                     continue
             schedule(f, st, t + 1)
-
-    def respond(user: str, st: _UserState, t: int) -> None:
-        st.responded = True
-        st.version += 1
-        out.append(Event("response", user, item, t))
-        broadcast(user, t)
 
     for t_post, poster in posts:
         state[poster].posted = True  # from the start: never at risk
@@ -353,8 +352,10 @@ def _simulate_item(
         if prio == 0:
             out.append(Event("post", user, item, t))
             broadcast(user, t)
-        elif not (st.responded or st.posted or st.version != version):
-            respond(user, st, t)
+        elif not (st.responded or st.version != version):  # posters are never scheduled
+            st.responded = True
+            out.append(Event("response", user, item, t))
+            broadcast(user, t)
 
 
 def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) -> list[Event]:
@@ -386,6 +387,26 @@ def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) ->
         _simulate_item(item, posts, followers, graph.friend_count, hazard, rng, out)
     out.sort(key=lambda ev: (ev.time, KIND_RANK[ev.kind], ev.item, ev.user, ev.exposer or ""))
     return out
+
+
+def estimate_visibility(series, site: str, horizon: int) -> tuple[TrfBundle, SusceptibilityCurve]:
+    """The cohort TRFs and the fitted susceptibility curve of one site's series.
+
+    The T1/T10/T100 TRFs use the ``horizon`` delay grid; on twitter, a
+    chronological stream, they count single-exposure series only. The curve
+    carries the site's closed form and its fitted constants. ``fit`` and
+    ``validate`` both estimate through this step.
+    """
+    single_only = site == "twitter"
+    trf = TrfBundle(
+        *(estimate_trf(series, COHORTS[label], single_only, horizon, label)
+          for label in ("T1", "T10", "T100")),
+        site=site,
+    )
+    curve = estimate_susceptibility(series)
+    curve.form = SusceptibilityForm(site)
+    curve.params = fit_susceptibility_analytic(curve, curve.form)
+    return trf, curve
 
 
 def train_test_split(events: list[Event]) -> tuple[list[Event], list[Event]]:
@@ -462,13 +483,6 @@ def recovery_experiment(
     mirroring a pipeline where the susceptibility constants come from a
     prior measurement. The fitted curve is checked for shape only.
     """
-    from .inference import (
-        fit_enhancement,
-        fit_scale_and_floor,
-        pooled_visibility_bins,
-        scale_fit_curve,
-    )
-
     graph = generate_graph(truth.graph, truth.rng_seed)
     events = simulate_cascades(truth, graph)
     train_ev, test_ev = train_test_split(apply_spam_cap(events, max_exposures))
@@ -479,28 +493,20 @@ def recovery_experiment(
     # The delay grid may stop short of the observation window: seconds past
     # it are pure visibility-floor trials, which pin v_min.
     grid = trf_horizon if trf_horizon is not None else horizon
-    single_only = site == "twitter"
-    t1 = estimate_trf(series, COHORTS["T1"], single_only, grid, "T1")
-    t10 = estimate_trf(series, COHORTS["T10"], single_only, grid, "T10")
-    t100 = estimate_trf(series, COHORTS["T100"], single_only, grid, "T100")
-    trf_est = TrfBundle(t1=t1, t10=t10, t100=t100, site=site)
-
-    sus_emp = estimate_susceptibility(series)
-    form = SusceptibilityForm(site)
-    sus_params = fit_susceptibility_analytic(sus_emp, form)
+    trf_est, sus_est = estimate_visibility(series, site, grid)
     shape_errors: dict[int, float] = {}
     ref = 10
-    est_ref = evaluate_form(form, sus_params, ref)
+    est_ref = sus_est.analytic(ref)
     true_ref = truth.params.susceptibility.analytic(ref)
     for nf in (1, 10, 100):
-        est = evaluate_form(form, sus_params, nf) / est_ref
+        est = sus_est.analytic(nf) / est_ref
         true = truth.params.susceptibility.analytic(nf) / true_ref
         shape_errors[nf] = abs(est - true) / abs(true)
 
     sus_fn = truth.params.susceptibility.analytic
-    curve = scale_fit_curve(series, sus_fn, trf_est, site, horizon,
-                            min_responses=min_fit_responses)
-    p0_est, v_est = fit_scale_and_floor(curve)
+    curve = inference.scale_fit_curve(series, sus_fn, trf_est, site, horizon,
+                                      min_responses=min_fit_responses)
+    p0_est, v_est = inference.fit_scale_and_floor(curve)
 
     # The enhancement MLE matches baseline and multi-exposure counts on
     # exact visibility cells pooled to a well-measured baseline, optionally
@@ -511,8 +517,8 @@ def recovery_experiment(
         f_series = [s for s in series if lo <= s.n_f <= hi]
     else:
         f_series = series
-    bins = pooled_visibility_bins(f_series, sus_fn, trf_est, site, horizon)
-    table = fit_enhancement(bins)
+    bins = inference.pooled_visibility_bins(f_series, sus_fn, trf_est, site, horizon)
+    table = inference.fit_enhancement(bins)
 
     responses = sum(1 for ev in events if ev.kind == "response")
     return RecoveryReport(

@@ -7,13 +7,15 @@ must equal the scalar pass bit for bit, insertion order included, because
 
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from contagion import inference
 from contagion.atrisk import risk_segments
 from contagion.binning import log_bin_index
+from contagion.errors import ContagionError
 from contagion.events import ExposureSeries
-from contagion.inference import collect_visibility_bins
+from contagion.inference import collect_visibility_bins, pooled_visibility_bins, visibility_bins
 from contagion.simulate import synthetic_trf
 from contagion.visibility import TrfBundle
 
@@ -128,3 +130,11 @@ def test_many_blocks_with_repeating_friend_counts():
             want = scalar_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
             got = collect_visibility_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
             assert snapshot(got) == snapshot(want)
+
+
+@pytest.mark.parametrize("entry", [collect_visibility_bins, visibility_bins, pooled_visibility_bins])
+@pytest.mark.parametrize("site,other", [("digg", "twitter"), ("twitter", "digg")])
+def test_a_site_other_than_the_bundles_is_rejected(entry, site, other):
+    series = make_series([(10, (3, 4, 6), 6), (1, (5,), None)])
+    with pytest.raises(ContagionError, match=f"binning for '{site}' with a TRF bundle for '{other}'"):
+        entry(series, susceptibility, TRF[other], site, 100)

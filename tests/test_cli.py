@@ -471,6 +471,25 @@ def test_simulate_rejects_a_malformed_graph_spec(graph, expected, truth_config, 
     assert expected in (out / "error.txt").read_text()
 
 
+@pytest.mark.parametrize("graph,expected", [
+    ({"users": 50, "kind": "powerlaw", "max_degree": 1.5}, "max_degree 1.5 is negative or not"),
+    ({"users": 50, "kind": "powerlaw", "max_degree": True}, "max_degree True is negative or not"),
+    ({"users": 50, "kind": "bands", "bands": [[10.5, 1, 2]]}, "band (10.5, 1, 2) is not three"),
+    ({"users": 50, "kind": "bands", "bands": [["10", 1, 2]]}, "band ('10', 1, 2) is not three"),
+    ({"users": 50, "kind": "bands", "bands": [[10, 1, 2.9]]}, "band (10, 1, 2.9) is not three"),
+], ids=["fractional max_degree", "boolean max_degree", "fractional band count",
+        "string band count", "fractional band hi"])
+def test_simulate_rejects_a_non_integer_graph_number(graph, expected, truth_config, tmp_path):
+    doc = json.loads(truth_config.read_text())
+    doc["graph"] = graph
+    config = tmp_path / "bad_truth.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert expected in (out / "error.txt").read_text()
+
+
 @pytest.mark.parametrize("path,value,expected", [
     (("seeding", "items"), 1.5, "items must be an integer >= 1, got 1.5"),
     (("seeding", "items"), True, "items must be an integer >= 1, got True"),
