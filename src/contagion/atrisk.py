@@ -26,16 +26,28 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .binning import delay_bin
 from .events import ExposureSeries
 from .models import ModelParams
 
 
-def _density(dens, support: int, dt: int) -> float:
-    if dt < 1 or dt >= support:
-        return 0.0
-    # edges are 1, 2, 4, ... (TimeResponseFunction enforces it)
-    return dens[delay_bin(dt)]
+def _nu(
+    exposures: Sequence[int], n_e: int, p: float, dens, support: int, site: str, s: int
+) -> float:
+    """Raw visibility at second s of the first n_e >= 1 exposures.
+
+    The delay density is ``dens[binning.delay_bin(dt)]`` inside the support
+    and 0 outside it (edges are 1, 2, 4, ..., as TimeResponseFunction
+    enforces). ``binning.delay_bin`` owns that rule; its body is inlined
+    here because this is the simulator's and forecaster's innermost loop.
+    """
+    if site == "digg":
+        dt = s - exposures[0]
+        return p * (dens[dt.bit_length() - 1] if 1 <= dt < support else 0.0)
+    prod = 1.0
+    for te in exposures[:n_e]:
+        dt = s - te
+        prod *= 1.0 - p * (dens[dt.bit_length() - 1] if 1 <= dt < support else 0.0)
+    return 1.0 - prod
 
 
 def visibility_at(
@@ -45,13 +57,7 @@ def visibility_at(
     n_e = bisect_right(exposures, s)
     if n_e == 0:
         return 0, 0.0
-    support = edges[-1]
-    if site == "digg":
-        return n_e, p * _density(dens, support, s - exposures[0])
-    prod = 1.0
-    for te in exposures[:n_e]:
-        prod *= 1.0 - p * _density(dens, support, s - te)
-    return n_e, 1.0 - prod
+    return n_e, _nu(exposures, n_e, p, dens, edges[-1], site, s)
 
 
 def visibility_segments(
@@ -61,7 +67,8 @@ def visibility_segments(
 
     Splits at exposure arrivals and at each driver plus each delay edge; the
     drivers are every exposure on twitter and only the first one on digg.
-    ``exposures`` must be ascending.
+    ``exposures`` must be ascending. Each run's (n_e, nu) is
+    :func:`visibility_at` of its start, with n_e advanced run by run.
     """
     if t_from >= t_to:
         return []
@@ -74,10 +81,16 @@ def visibility_segments(
             if t_from < te + e < t_to:
                 points.add(te + e)
     bounds = sorted(points)
-    return [
-        (a, b, *visibility_at(exposures, p, dens, edges, site, a))
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    support = edges[-1]
+    n_all = len(exposures)
+    n_e = bisect_right(exposures, t_from)
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        while n_e < n_all and exposures[n_e] <= a:
+            n_e += 1
+        nu = _nu(exposures, n_e, p, dens, support, site, a) if n_e else 0.0
+        out.append((a, b, n_e, nu))
+    return out
 
 
 def hazard(
@@ -116,7 +129,9 @@ class ModelHazard:
         if hit is None:
             p_nf = self.params.susceptibility.analytic(n_f)
             p = self.p0 * p_nf if self.site == "digg" else p_nf
-            hit = self._nf[n_f] = (p, self.params.trf.densities_for(n_f))
+            # as Python floats: numpy scalars hold the same doubles but compute slower
+            dens = tuple(map(float, self.params.trf.densities_for(n_f)))
+            hit = self._nf[n_f] = (float(p), dens)
         return hit
 
     def rate_at(self, n_f: int, exposures: Sequence[int], s: int) -> float:

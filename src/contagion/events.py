@@ -42,17 +42,31 @@ class FollowerGraph:
     """Directed who-follows-whom structure.
 
     ``friend_count[u]`` is the out-degree of u: how many users u follows.
+    ``follower_lists()`` derives the follower adjacency from ``edges`` on
+    first use and keeps it, so ``edges`` must not change after that.
     """
 
     users: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
     friend_count: dict[str, int] = field(default_factory=dict)
+    _adjacency: dict[str, list[str]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def follower_lists(self) -> dict[str, list[str]]:
+        """Each followed user's sorted followers (the shared adjacency; do not mutate)."""
+        if self._adjacency is None:
+            lists: dict[str, list[str]] = defaultdict(list)
+            for follower, friend in self.edges:
+                lists[friend].append(follower)
+            for followers in lists.values():
+                followers.sort()
+            self._adjacency = dict(lists)
+        return self._adjacency
 
     def followers_of(self, user: str) -> list[str]:
-        # Scans every edge on each call; simulation builds its own adjacency lists.
-        out = [f for (f, friend) in self.edges if friend == user]
-        out.sort()
-        return out
+        """The users who follow ``user``, sorted (a copy)."""
+        return list(self.follower_lists().get(user, ()))
 
 
 @dataclass(frozen=True)

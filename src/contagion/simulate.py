@@ -26,7 +26,7 @@ import numpy as np
 from . import inference
 from .atrisk import ModelHazard
 from .errors import ContagionError
-from .events import MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_series
+from .events import KINDS, MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_series
 from .models import ModelParams
 from .visibility import (
     COHORTS,
@@ -40,7 +40,8 @@ from .visibility import (
 )
 from .binning import pow2_edges
 
-KIND_RANK = {"post": 0, "exposure": 1, "response": 2}
+# an event's rank in KINDS orders the kinds within one second
+POST, EXPOSURE, RESPONSE = map(KINDS.index, ("post", "exposure", "response"))
 
 
 def _is_int(value) -> bool:
@@ -194,15 +195,18 @@ def generate_graph(spec: GraphSpec, seed: int) -> FollowerGraph:
         degrees = rng.zipf(spec.exponent, size=n)
         cap = n - 1 if spec.max_degree is None else min(spec.max_degree, n - 1)
         degrees = np.minimum(degrees, cap)
-    edges: set[tuple[str, str]] = set()
-    for i in range(n):
-        picks = rng.choice(n - 1, size=int(degrees[i]), replace=False)
-        for j in picks:
-            friend = int(j) if j < i else int(j) + 1  # skip self
-            edges.add((ids[i], ids[friend]))
-    # picks are distinct and never the user, so each degree is exact
-    return FollowerGraph(users=set(ids), edges=edges,
-                         friend_count={u: int(k) for u, k in zip(ids, degrees)})
+    degree_list = degrees.tolist()
+    friend = np.empty(sum(degree_list), dtype=np.int32)
+    end = 0
+    for k in degree_list:  # one draw per user, in user order
+        start, end = end, end + k
+        friend[start:end] = rng.choice(n - 1, size=k, replace=False)
+    follower = np.repeat(np.arange(n, dtype=np.int32), degrees)
+    friend += friend >= follower  # draws skip the user itself
+    # draws are distinct and never the user, so each degree is exact
+    names = np.array(ids, dtype=object)
+    edges = set(zip(names[follower], names[friend]))
+    return FollowerGraph(users=set(ids), edges=edges, friend_count=dict(zip(ids, degree_list)))
 
 
 class _UserState:
@@ -222,11 +226,13 @@ class _Hazard(ModelHazard):
     def __init__(self, params: ModelParams, horizon: int):
         super().__init__(params)
         self.horizon = horizon
-        # first-exposure-driven hazard factorizes: cache log-survival
-        # prefixes per (n_f, n_e) in delay space
-        self._prefix: dict[tuple[int, int], tuple[list[int], list[float], list[float]]] = {}
+        # first-exposure-driven hazard factorizes: cache, per (n_f, n_e), the
+        # runs in delay space with their log-survival prefixes and hazards
+        self._prefix: dict[tuple[int, int], tuple[list[int], list[float], list[float], list[float]]] = {}
 
-    def _digg_prefix(self, n_f: int, n_e: int):
+    def _digg_runs(self, n_f: int, n_e: int):
+        """(bounds, cum, slopes, lams): run bounds in delay space, log-survival
+        at each bound, each run's per-second log-survival and its hazard."""
         key = (n_f, n_e)
         hit = self._prefix.get(key)
         if hit is not None:
@@ -235,13 +241,35 @@ class _Hazard(ModelHazard):
         # delay 0 give the runs in delay space
         runs = self.runs(n_f, (0,) * n_e, 0, 1 << 62)
         bounds = [a for a, _, _ in runs] + [runs[-1][1]]
-        slopes = [math.log1p(-min(lam, 1.0 - 1e-12)) for _, _, lam in runs]
+        lams = [lam for _, _, lam in runs]
+        slopes = [math.log1p(-min(lam, 1.0 - 1e-12)) for lam in lams]
         cum = [0.0]
         for (a, b, _), l in zip(runs, slopes):
             cum.append(cum[-1] + (b - a) * l)
-        out = (bounds, cum, slopes)
+        out = (bounds, cum, slopes, lams)
         self._prefix[key] = out
         return out
+
+    def _digg_prefix(self, n_f: int, n_e: int):
+        """The first three tables of :meth:`_digg_runs`."""
+        return self._digg_runs(n_f, n_e)[:3]
+
+    def arrival_rates(self, n_f: int, exposures: list[int], t: int) -> tuple[float, float]:
+        """Hazard at second t before and after one more exposure arrives at t.
+
+        ``exposures`` (non-empty) all precede t. On digg the delay from the
+        first exposure picks one run of the cached (n_f, n_e) and
+        (n_f, n_e + 1) tables; each run's hazard is the value ``rate_at``
+        computes for any second inside it.
+        """
+        if self.site == "twitter":
+            return self.rate_at(n_f, exposures, t), self.rate_at(n_f, [*exposures, t], t)
+        d = t - exposures[0]
+        n_e = len(exposures)
+        old_bounds, _, _, old_lams = self._digg_runs(n_f, n_e)
+        new_bounds, _, _, new_lams = self._digg_runs(n_f, n_e + 1)
+        return (old_lams[bisect_right(old_bounds, d) - 1],
+                new_lams[bisect_right(new_bounds, d) - 1])
 
     def sample(self, n_f: int, exposures: list[int], start: int, rng) -> int | None:
         """The response second drawn from ``start`` on, or None past the horizon.
@@ -277,7 +305,7 @@ def _sample_response(segments, rng) -> int | None:
     """First-success second of a per-second Bernoulli process, or None."""
     if not segments:
         return None
-    draws = rng.random(len(segments))
+    draws = rng.random(len(segments)).tolist()  # floats iterate faster than numpy scalars
     for (a, b, lam), u in zip(segments, draws):
         if lam <= 0.0:
             continue
@@ -296,8 +324,9 @@ def _simulate_item(
     friend_count: dict[str, int],
     hazard: _Hazard,
     rng,
-    out: list[Event],
+    out: list[tuple[int, int, str, str, str]],
 ) -> None:
+    """Append the item's events to ``out`` as (time, kind rank, item, user, exposer or "")."""
     state: dict[str, _UserState] = defaultdict(_UserState)
     # heap entries: (time, priority, seq, user, version). At one second,
     # residual successes (-1) pop first, then posts (0), then drawn
@@ -318,7 +347,7 @@ def _simulate_item(
                 continue  # posters never see their own item as an exposure
             if st.exposures and st.exposures[-1] == t:
                 continue  # same-second duplicate collapses
-            out.append(Event("exposure", f, item, t, exposer=user))
+            out.append((t, EXPOSURE, item, f, user))
             if st.responded:
                 continue
             if not st.exposures:
@@ -330,9 +359,8 @@ def _simulate_item(
                 continue
             # Second t was already drawn (and failed) under the old hazard;
             # give the increased hazard its residual chance before resampling.
-            lam_old = hazard.rate_at(friend_count.get(f, 0), st.exposures, t)
+            lam_old, lam_new = hazard.arrival_rates(friend_count.get(f, 0), st.exposures, t)
             st.exposures.append(t)
-            lam_new = hazard.rate_at(friend_count.get(f, 0), st.exposures, t)
             if lam_new > lam_old and lam_old < 1.0:
                 residual = (lam_new - lam_old) / (1.0 - lam_old)
                 if rng.random() < residual:
@@ -350,11 +378,11 @@ def _simulate_item(
         t, prio, _, user, version = heapq.heappop(heap)
         st = state[user]
         if prio == 0:
-            out.append(Event("post", user, item, t))
+            out.append((t, POST, item, user, ""))
             broadcast(user, t)
         elif not (st.responded or st.version != version):  # posters are never scheduled
             st.responded = True
-            out.append(Event("response", user, item, t))
+            out.append((t, RESPONSE, item, user, ""))
             broadcast(user, t)
 
 
@@ -367,12 +395,10 @@ def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) ->
     """
     if graph is None:
         graph = generate_graph(truth.graph, truth.rng_seed)
-    followers: dict[str, list[str]] = defaultdict(list)
-    for follower, friend in sorted(graph.edges):
-        followers[friend].append(follower)
+    followers = graph.follower_lists()
     ids = sorted(graph.users)
     hazard = _Hazard(truth.params, truth.horizon)
-    out: list[Event] = []
+    out: list[tuple[int, int, str, str, str]] = []
     spread = truth.seeding.post_time_spread
     for item_idx in range(truth.seeding.items):
         item = f"item{item_idx:05d}"
@@ -385,7 +411,10 @@ def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) ->
             times = [0] * k
         posts = sorted(zip(times, posters))
         _simulate_item(item, posts, followers, graph.friend_count, hazard, rng, out)
-    out.sort(key=lambda ev: (ev.time, KIND_RANK[ev.kind], ev.item, ev.user, ev.exposer or ""))
+    out.sort()  # by time, kind, item, user, exposer
+    # in place: each Event takes the memory its tuple frees
+    for i, (t, kind, item, user, exposer) in enumerate(out):
+        out[i] = Event(KINDS[kind], user, item, t, exposer if kind == EXPOSURE else None)
     return out
 
 
@@ -397,6 +426,7 @@ def estimate_visibility(series, site: str, horizon: int) -> tuple[TrfBundle, Sus
     carries the site's closed form and its fitted constants. ``fit`` and
     ``validate`` both estimate through this step.
     """
+    _require_int("trf_horizon", horizon, 1)
     single_only = site == "twitter"
     trf = TrfBundle(
         *(estimate_trf(series, COHORTS[label], single_only, horizon, label)
@@ -483,6 +513,10 @@ def recovery_experiment(
     mirroring a pipeline where the susceptibility constants come from a
     prior measurement. The fitted curve is checked for shape only.
     """
+    # The delay grid may stop short of the observation window: seconds past
+    # it are pure visibility-floor trials, which pin v_min.
+    grid = trf_horizon if trf_horizon is not None else truth.horizon
+    _require_int("trf_horizon", grid, 1)  # before the costly simulation
     graph = generate_graph(truth.graph, truth.rng_seed)
     events = simulate_cascades(truth, graph)
     train_ev, test_ev = train_test_split(apply_spam_cap(events, max_exposures))
@@ -490,9 +524,6 @@ def recovery_experiment(
 
     site = truth.params.site
     horizon = truth.horizon
-    # The delay grid may stop short of the observation window: seconds past
-    # it are pure visibility-floor trials, which pin v_min.
-    grid = trf_horizon if trf_horizon is not None else horizon
     trf_est, sus_est = estimate_visibility(series, site, grid)
     shape_errors: dict[int, float] = {}
     ref = 10

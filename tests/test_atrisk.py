@@ -125,3 +125,29 @@ def test_digg_prefix_matches_summed_oracle(p0, n_f, n_e):
         assert math.isclose(got, want, rel_tol=1e-9), (d, got, want)
         lam = digg_probability(params, n_f, 0, n_e, d)
         want += math.log1p(-min(lam, 1.0 - 1e-12))
+
+
+EDGE_DELAYS = sorted({e + o for e in make_params("digg", 1.0).trf.bin_edges for o in (-1, 0, 1)}
+                     | {3 * GRID, 10**9})
+
+
+@st.composite
+def arrivals(draw):
+    """Ascending exposures and a later arrival second, with its delay near any bin edge."""
+    delay = draw(st.sampled_from(EDGE_DELAYS[1:]) | st.integers(1, 3 * GRID))
+    first = draw(st.integers(0, 50))
+    later = draw(st.lists(st.integers(1, delay - 1), max_size=5, unique=True)) if delay > 1 else []
+    return [first] + sorted(first + o for o in later), first + delay
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p0=st.sampled_from([0.05, 0.6, 40.0, 667.0, 1e5]),  # 1e5 saturates it at short delays
+    n_f=st.sampled_from([1, 3, 10, 37, 100, 150]),
+    arrival=arrivals(),
+)
+def test_digg_arrival_rates_equal_rate_at(p0, n_f, arrival):
+    exposures, t = arrival
+    hz = _Hazard(make_params("digg", p0), horizon=10 * GRID)
+    want = (hz.rate_at(n_f, exposures, t), hz.rate_at(n_f, exposures + [t], t))
+    assert hz.arrival_rates(n_f, exposures, t) == want

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from contagion import simulate
 from contagion.cli import main
 from contagion.events import Event, write_event_log
 from contagion.models import EnhancementTable, ModelParams
@@ -529,3 +530,27 @@ def test_fit_rejects_a_lone_surrogate_id(sim_dir, tmp_path):
     assert main(["fit", "--events", str(log), "--graph", str(sim_dir / "graph.jsonl"),
                  "--out", str(out)]) == 1
     assert "line 1: id holds a lone surrogate" in (out / "error.txt").read_text()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_fit_rejects_a_trf_horizon_below_1(horizon, sim_dir, tmp_path):
+    out = tmp_path / "fit"
+    out.mkdir()
+    assert main(["fit", "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--trf-horizon", horizon,
+                 "--out", str(out)]) == 1
+    assert f"trf_horizon must be an integer >= 1, got {horizon}" in (out / "error.txt").read_text()
+
+
+def test_validate_rejects_a_trf_horizon_below_1_before_simulating(truth_config, tmp_path,
+                                                                   monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated despite an invalid --trf-horizon")
+
+    monkeypatch.setattr(simulate, "generate_graph", no_simulation)
+    monkeypatch.setattr(simulate, "simulate_cascades", no_simulation)
+    out = tmp_path / "val"
+    out.mkdir()
+    assert main(["validate", "--config", str(truth_config), "--trf-horizon", "0",
+                 "--out", str(out)]) == 1
+    assert "trf_horizon must be an integer >= 1, got 0" in (out / "error.txt").read_text()

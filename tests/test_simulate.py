@@ -342,3 +342,87 @@ def test_generated_graph_counts_match_its_edges(spec, seed):
     assert all(follower != friend for follower, friend in graph.edges)
     out_degree = Counter(follower for follower, _ in graph.edges)
     assert graph.friend_count == {u: out_degree[u] for u in graph.users}
+
+
+def scan_followers(graph, user):
+    """Followers of one user by a scan over every edge, sorted."""
+    return sorted(follower for follower, friend in graph.edges if friend == user)
+
+
+def edges_sha256(graph):
+    digest = hashlib.sha256()
+    for follower, friend in sorted(graph.edges):
+        digest.update(f"{follower}\t{friend}\n".encode())
+    for user in sorted(graph.friend_count):
+        digest.update(f"{user}\t{graph.friend_count[user]}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec, n_edges, sha", [
+    (GraphSpec(users=120, kind="constant", k=7), 840,
+     "f298c0f108abc96c3db703f1ab5770d3f03398edc18e483e326648c30961f890"),
+    (GraphSpec(users=300, kind="powerlaw", exponent=2.1), 1059,
+     "e603f9802e2da1676cbe2115ec4a1b2a5d6cc294cca98e22d3b6619baef08c6f"),
+    (GraphSpec(users=50, kind="powerlaw", exponent=2.1, max_degree=0), 0,
+     "cae2c42cf2515f37be994444bc07f3a5096c251ebf589e0af3e27a0cddb2c44d"),
+    (GraphSpec(users=400, kind="bands", bands=((100, 1, 2), (50, 9, 11), (30, 30, 30))), 1766,
+     "6fcd439911fe961734ea47b8d970c6c2edf786d1479ffb3d3f3e60c02065fefb"),
+], ids=["constant", "powerlaw", "powerlaw max_degree=0", "bands"])
+def test_generated_graph_is_pinned(spec, n_edges, sha):
+    graph = generate_graph(spec, seed=11)
+    assert len(graph.edges) == n_edges
+    assert edges_sha256(graph) == sha
+    for user in graph.users:
+        assert graph.followers_of(user) == scan_followers(graph, user)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=graph_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_follower_lists_match_an_edge_scan(spec, seed):
+    graph = generate_graph(spec, seed)
+    lists = graph.follower_lists()
+    assert set(lists) == {friend for _, friend in graph.edges}
+    for user in graph.users:
+        assert graph.followers_of(user) == scan_followers(graph, user)
+
+
+def pinned_truth(site):
+    trf = TrfBundle(*(synthetic_trf(label, 64, gamma=gamma)
+                      for label, gamma in (("T1", 0.8), ("T10", 1.0), ("T100", 1.3))), site=site)
+    params = ModelParams(
+        site=site,
+        p0=0.9 if site == "digg" else 0.5,
+        log_v_min=-6.0,
+        enhancement=EnhancementTable(values={1: 1.0, 2: 1.6, 3: 2.0}, saturates=True),
+        susceptibility=constant_susceptibility(0.6),
+        trf=trf,
+    )
+    return GroundTruth(params=params, graph=GraphSpec(users=3, kind="constant", k=2),
+                       seeding=Seeding(items=40, posters_per_item=(1, 2), post_time_spread=6),
+                       horizon=300, rng_seed=3)
+
+
+@pytest.mark.parametrize("site, n_events, n_responses, sha", [
+    ("digg", 208, 44, "4ab3677e40c0904bfbd3c00ac8a66fbb94b012bd2c82c1afff4466311ef8efd2"),
+    ("twitter", 220, 49, "272e5c16d669634686e19f75d86b4e1802dd29ed6bae66053e780e08083c8892"),
+])
+def test_simulation_on_a_hand_built_graph_is_pinned(site, n_events, n_responses, sha, tmp_path):
+    # "a" < "u10" < "u9" as strings, unlike the numbers they carry
+    ids = ["u9", "u10", "a"]
+    graph = FollowerGraph(users=set(ids), edges={(f, u) for f in ids for u in ids if f != u},
+                          friend_count={u: 2 for u in ids})
+    events = simulate_cascades(pinned_truth(site), graph)
+    assert graph.followers_of("u9") == ["a", "u10"]
+    assert (len(events), sum(ev.kind == "response" for ev in events)) == (n_events, n_responses)
+    assert all((ev.exposer is not None) == (ev.kind == "exposure") for ev in events)
+    path = tmp_path / "events.jsonl"
+    write_event_log(path, events)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_an_empty_user_id_stays_the_exposer():
+    graph = FollowerGraph(users={"", "b"}, edges={("b", "")}, friend_count={"": 0, "b": 1})
+    truth = make_truth(graph=GraphSpec(users=2, kind="constant", k=1),
+                       seeding=Seeding(items=6, posters_per_item=1))
+    exposures = [ev for ev in simulate_cascades(truth, graph) if ev.kind == "exposure"]
+    assert exposures and all(ev.exposer == "" and ev.user == "b" for ev in exposures)
