@@ -5,12 +5,11 @@ exposure count) is constant, so per-second quantities aggregate exactly from
 a handful of segments instead of a second-by-second scan.
 
 A message arriving at second s counts toward n_e from s onward but has zero
-delay density until s + 1. In the first-appearance (digg) interface only the
-first exposure drives visibility, nu = p * T(dt_1); in the chronological
-(twitter) interface all exposures combine as nu = 1 - prod(1 - p * T(dt_i)).
-The per-message multiplier p is the susceptibility p_nf, except for the digg
-hazard, which takes p = p0 * p_nf; :class:`ModelHazard` owns that rule for
-the simulator and forecasting.
+delay density until s + 1. A first-driven site's visibility follows the first
+exposure only, nu = p * T(dt_1); otherwise all exposures combine as
+nu = 1 - prod(1 - p * T(dt_i)). Which rule a site follows, its hazard form
+and its multiplier p are in :data:`visibility.SITES`; :class:`ModelHazard`
+applies the p rule for the simulator and forecasting.
 
 Visibility binning does not loop over :func:`risk_segments` series by
 series: :func:`block_segments` computes the same segments for a block of
@@ -28,10 +27,11 @@ import numpy as np
 
 from .events import ExposureSeries
 from .models import ModelParams
+from .visibility import SITES
 
 
 def _nu(
-    exposures: Sequence[int], n_e: int, p: float, dens, support: int, site: str, s: int
+    exposures: Sequence[int], n_e: int, p: float, dens, support: int, first_driven: bool, s: int
 ) -> float:
     """Raw visibility at second s of the first n_e >= 1 exposures.
 
@@ -40,7 +40,7 @@ def _nu(
     enforces). ``binning.delay_bin`` owns that rule; its body is inlined
     here because this is the simulator's and forecaster's innermost loop.
     """
-    if site == "digg":
+    if first_driven:
         dt = s - exposures[0]
         return p * (dens[dt.bit_length() - 1] if 1 <= dt < support else 0.0)
     prod = 1.0
@@ -50,33 +50,24 @@ def _nu(
     return 1.0 - prod
 
 
-def visibility_at(
-    exposures: Sequence[int], p: float, dens, edges, site: str, s: int
-) -> tuple[int, float]:
-    """(n_e, nu) at second s: exposures at or before s and their raw visibility."""
-    n_e = bisect_right(exposures, s)
-    if n_e == 0:
-        return 0, 0.0
-    return n_e, _nu(exposures, n_e, p, dens, edges[-1], site, s)
-
-
 def visibility_segments(
     exposures: Sequence[int], p: float, dens, edges, site: str, t_from: int, t_to: int
 ) -> list[tuple[int, int, int, float]]:
     """Constant-visibility runs (start, end, n_e, nu) tiling [t_from, t_to).
 
     Splits at exposure arrivals and at each driver plus each delay edge; the
-    drivers are every exposure on twitter and only the first one on digg.
-    ``exposures`` must be ascending. Each run's (n_e, nu) is
-    :func:`visibility_at` of its start, with n_e advanced run by run.
+    drivers are the first exposure on a first-driven site and every exposure
+    otherwise. ``exposures`` must be ascending. Each run's (n_e, nu) is that
+    of its start second, with n_e advanced run by run.
     """
+    first_driven = SITES[site].first_driven
     if t_from >= t_to:
         return []
     points = {t_from, t_to}
     for te in exposures:
         if t_from < te < t_to:
             points.add(te)
-    for te in exposures if site == "twitter" else exposures[:1]:
+    for te in exposures[:1] if first_driven else exposures:
         for e in edges:
             if t_from < te + e < t_to:
                 points.add(te + e)
@@ -88,7 +79,7 @@ def visibility_segments(
     for a, b in zip(bounds, bounds[1:]):
         while n_e < n_all and exposures[n_e] <= a:
             n_e += 1
-        nu = _nu(exposures, n_e, p, dens, support, site, a) if n_e else 0.0
+        nu = _nu(exposures, n_e, p, dens, support, first_driven, a) if n_e else 0.0
         out.append((a, b, n_e, nu))
     return out
 
@@ -98,13 +89,13 @@ def hazard(
 ) -> float:
     """Clamped per-second response probability for (n_e, nu).
 
-    Twitter: p0 * F(n_e) * nu + v_min with nu from p = p_nf. Digg:
-    F(n_e) * (nu + v_min) with nu from p = p0 * p_nf. With no exposure yet
-    only the floor remains.
+    The form is the site's (see :data:`visibility.SITES`); with no exposure
+    yet only the floor remains.
     """
+    first_driven = SITES[site].first_driven
     if n_e == 0:
         raw = v_min
-    elif site == "digg":
+    elif first_driven:
         raw = factor(n_e) * (nu + v_min)
     else:
         raw = p0 * factor(n_e) * nu + v_min
@@ -117,6 +108,7 @@ class ModelHazard:
     def __init__(self, params: ModelParams):
         self.params = params
         self.site = params.site
+        self.first_driven = SITES[params.site].first_driven
         self.p0 = params.p0
         self.v_min = params.v_min
         self.edges = params.trf.bin_edges
@@ -124,11 +116,11 @@ class ModelHazard:
         self._nf: dict[int, tuple[float, tuple[float, ...]]] = {}
 
     def _for_nf(self, n_f: int) -> tuple[float, tuple[float, ...]]:
-        """(p, densities) for one friend count: p = p0 * p_nf on digg, p_nf on twitter."""
+        """(p, densities) for one friend count: p = p0 * p_nf on a first-driven site, else p_nf."""
         hit = self._nf.get(n_f)
         if hit is None:
             p_nf = self.params.susceptibility.analytic(n_f)
-            p = self.p0 * p_nf if self.site == "digg" else p_nf
+            p = self.p0 * p_nf if self.first_driven else p_nf
             # as Python floats: numpy scalars hold the same doubles but compute slower
             dens = tuple(map(float, self.params.trf.densities_for(n_f)))
             hit = self._nf[n_f] = (float(p), dens)
@@ -137,7 +129,8 @@ class ModelHazard:
     def rate_at(self, n_f: int, exposures: Sequence[int], s: int) -> float:
         """Hazard for second s."""
         p, dens = self._for_nf(n_f)
-        n_e, nu = visibility_at(exposures, p, dens, self.edges, self.site, s)
+        n_e = bisect_right(exposures, s)  # exposures at or before s
+        nu = _nu(exposures, n_e, p, dens, self.edges[-1], self.first_driven, s) if n_e else 0.0
         return hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu)
 
     def runs(
@@ -191,7 +184,7 @@ def block_segments(
     then ``p * 0.0`` for delays outside the support; ``rows[i]`` is series
     i's row. Returns (series index, length, n_e, nu, holds the response),
     one entry per segment in (series, segment) order. Every nu is the same
-    float expression :func:`visibility_at` evaluates, so it is bit-identical.
+    float expression :func:`_nu` evaluates, so it is bit-identical.
     """
     n = len(series)
     counts = np.fromiter((len(s.exposure_times) for s in series), np.int64, n)
@@ -209,8 +202,9 @@ def block_segments(
     # breakpoints as in visibility_segments, flagged 1 where an exposure arrives;
     # the first exposure is t_from, and points outside [t_from, t_to] drop out
     owner = np.repeat(np.arange(n), counts)
-    # delay clocks start at every exposure on twitter, at the first on digg
-    onset, onset_owner = (times, owner) if site == "twitter" else (t_from, np.arange(n))
+    first_driven = SITES[site].first_driven
+    # delay clocks start at the first exposure on a first-driven site, else at every one
+    onset, onset_owner = (t_from, np.arange(n)) if first_driven else (times, owner)
     edge_arr = np.asarray(edges, dtype=np.int64)
     point = np.concatenate((t_to, times, (onset[:, None] + edge_arr).ravel()))
     sid = np.concatenate((np.arange(n), owner, np.repeat(onset_owner, len(edges))))
@@ -244,7 +238,7 @@ def block_segments(
 
     n_bins = len(edges) - 1
     seg_row = rows[seg_sid]
-    if site == "digg":
+    if first_driven:
         nu = p_dens[seg_row, _delay_bins(start - t_from[seg_sid], n_bins)]
     else:
         # nu = 1 - prod(1 - p * T(dt_i)), multiplied in exposure order

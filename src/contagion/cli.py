@@ -42,6 +42,7 @@ from .simulate import (
     simulate_cascades,
     train_test_split,
 )
+from .visibility import SITES
 # unused here: perfbench's tracer wraps them in this module too (tests/test_trace_targets.py)
 from .visibility import estimate_susceptibility, estimate_trf, fit_susceptibility_analytic  # noqa: F401
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p, need_model=False):
         p.add_argument("--events", required=True, help="event log (JSON lines)")
         p.add_argument("--graph", required=True, help="follow edges (JSON lines)")
-        p.add_argument("--site", choices=("twitter", "digg"), default="digg")
+        p.add_argument("--site", choices=tuple(SITES), default="digg")
         p.add_argument("--max-exposures", type=int, default=MAX_EXPOSURES)
         p.add_argument("--out", required=True, help="output directory (must exist)")
         p.add_argument("--split", choices=("train", "test", "all"), default="all")

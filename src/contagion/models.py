@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ContagionError
-from .visibility import SusceptibilityCurve, TrfBundle
+from .visibility import SITES, SusceptibilityCurve, TrfBundle
 
 EXACT_GUARD = 20  # subset enumeration is O(2^n); refuse beyond this
 
@@ -175,7 +175,7 @@ class EnhancementTable:
 class ModelParams:
     """Everything needed to evaluate a site's response-probability model."""
 
-    site: str  # "twitter" | "digg"
+    site: str  # a key of visibility.SITES, which holds the site's rules
     p0: float
     log_v_min: float
     enhancement: EnhancementTable
@@ -183,8 +183,7 @@ class ModelParams:
     trf: TrfBundle
 
     def __post_init__(self):
-        if self.site not in ("twitter", "digg"):
-            raise ContagionError(f"unknown site {self.site!r}")
+        SITES[self.site]  # an unknown site raises ContagionError
         if not 0 < self.p0 < math.inf:
             raise ContagionError(f"scale p0 must be positive and finite, got {self.p0!r}")
         if not self.log_v_min < math.inf:  # -inf means no floor; NaN fails too

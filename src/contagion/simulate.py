@@ -30,6 +30,7 @@ from .events import KINDS, MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, 
 from .models import ModelParams
 from .visibility import (
     COHORTS,
+    SITES,
     SusceptibilityCurve,
     SusceptibilityForm,
     TimeResponseFunction,
@@ -227,59 +228,40 @@ class _Hazard(ModelHazard):
         super().__init__(params)
         self.horizon = horizon
         # first-exposure-driven hazard factorizes: cache, per (n_f, n_e), the
-        # runs in delay space with their log-survival prefixes and hazards
-        self._prefix: dict[tuple[int, int], tuple[list[int], list[float], list[float], list[float]]] = {}
+        # runs in delay space with their log-survival prefixes
+        self._prefix: dict[tuple[int, int], tuple[list[int], list[float], list[float]]] = {}
 
-    def _digg_runs(self, n_f: int, n_e: int):
-        """(bounds, cum, slopes, lams): run bounds in delay space, log-survival
-        at each bound, each run's per-second log-survival and its hazard."""
+    def _digg_prefix(self, n_f: int, n_e: int):
+        """(bounds, cum, slopes): run bounds in delay space, log-survival at
+        each bound and each run's per-second log-survival."""
         key = (n_f, n_e)
         hit = self._prefix.get(key)
         if hit is not None:
             return hit
-        # digg visibility follows the first exposure only, so n_e arrivals at
+        # visibility follows the first exposure only, so n_e arrivals at
         # delay 0 give the runs in delay space
         runs = self.runs(n_f, (0,) * n_e, 0, 1 << 62)
         bounds = [a for a, _, _ in runs] + [runs[-1][1]]
-        lams = [lam for _, _, lam in runs]
-        slopes = [math.log1p(-min(lam, 1.0 - 1e-12)) for lam in lams]
+        slopes = [math.log1p(-min(lam, 1.0 - 1e-12)) for _, _, lam in runs]
         cum = [0.0]
         for (a, b, _), l in zip(runs, slopes):
             cum.append(cum[-1] + (b - a) * l)
-        out = (bounds, cum, slopes, lams)
-        self._prefix[key] = out
+        out = self._prefix[key] = (bounds, cum, slopes)
         return out
 
-    def _digg_prefix(self, n_f: int, n_e: int):
-        """The first three tables of :meth:`_digg_runs`."""
-        return self._digg_runs(n_f, n_e)[:3]
-
     def arrival_rates(self, n_f: int, exposures: list[int], t: int) -> tuple[float, float]:
-        """Hazard at second t before and after one more exposure arrives at t.
-
-        ``exposures`` (non-empty) all precede t. On digg the delay from the
-        first exposure picks one run of the cached (n_f, n_e) and
-        (n_f, n_e + 1) tables; each run's hazard is the value ``rate_at``
-        computes for any second inside it.
-        """
-        if self.site == "twitter":
-            return self.rate_at(n_f, exposures, t), self.rate_at(n_f, [*exposures, t], t)
-        d = t - exposures[0]
-        n_e = len(exposures)
-        old_bounds, _, _, old_lams = self._digg_runs(n_f, n_e)
-        new_bounds, _, _, new_lams = self._digg_runs(n_f, n_e + 1)
-        return (old_lams[bisect_right(old_bounds, d) - 1],
-                new_lams[bisect_right(new_bounds, d) - 1])
+        """Hazard at second t before and after an exposure arrives; ``exposures`` precede t."""
+        return self.rate_at(n_f, exposures, t), self.rate_at(n_f, [*exposures, t], t)
 
     def sample(self, n_f: int, exposures: list[int], start: int, rng) -> int | None:
         """The response second drawn from ``start`` on, or None past the horizon.
 
-        Twitter draws each hazard run in turn. Digg visibility follows the
-        first exposure only, so one uniform resolves the whole schedule by
-        inverse transform against the cached log-survival prefix; O(bins)
-        scan, no per-run draws.
+        A site whose visibility follows every exposure draws each hazard run
+        in turn. On a first-driven site one uniform resolves the whole
+        schedule by inverse transform against the cached log-survival prefix;
+        O(bins) scan, no per-run draws.
         """
-        if self.site == "twitter":
+        if not self.first_driven:
             return _sample_response(self.runs(n_f, exposures, start, self.horizon + 1), rng)
         t1 = exposures[0]
         bounds, cum, slopes = self._digg_prefix(n_f, len(exposures))
@@ -421,13 +403,13 @@ def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) ->
 def estimate_visibility(series, site: str, horizon: int) -> tuple[TrfBundle, SusceptibilityCurve]:
     """The cohort TRFs and the fitted susceptibility curve of one site's series.
 
-    The T1/T10/T100 TRFs use the ``horizon`` delay grid; on twitter, a
-    chronological stream, they count single-exposure series only. The curve
-    carries the site's closed form and its fitted constants. ``fit`` and
+    The T1/T10/T100 TRFs use the ``horizon`` delay grid; unless the site is
+    first-driven they count single-exposure series only. The curve carries
+    the closed form named like the site and its fitted constants. ``fit`` and
     ``validate`` both estimate through this step.
     """
     _require_int("trf_horizon", horizon, 1)
-    single_only = site == "twitter"
+    single_only = not SITES[site].first_driven
     trf = TrfBundle(
         *(estimate_trf(series, COHORTS[label], single_only, horizon, label)
           for label in ("T1", "T10", "T100")),

@@ -41,6 +41,31 @@ EPS_W = 1e-6  # keeps interpolation weights finite at the cohort centers
 MAX_RESTARTS = 6  # simplex restarts of the susceptibility fit
 
 
+@dataclass(frozen=True)
+class Site:
+    """One site's interface rules; every per-site difference follows from these two."""
+
+    # True (digg): visibility follows the first exposure, p = p0 * p_nf, the
+    # hazard is F(n_e) * (nu + v_min), the simulator samples by inverse
+    # transform and the TRFs count every series. False (twitter): every
+    # exposure, p = p_nf, p0 * F(n_e) * nu + v_min, per-run draws, and the
+    # TRFs count single-exposure series only.
+    first_driven: bool
+    t100_power: int  # the T100 weight is 1/(|n_f - 100| ** t100_power + 1e-6)
+
+
+class _SiteTable(dict):
+    def __missing__(self, name):
+        raise ContagionError(f"unknown site {name!r}")
+
+
+# The one owner of the per-site rules; an unknown name raises ContagionError.
+SITES: dict[str, Site] = _SiteTable({
+    "twitter": Site(first_driven=False, t100_power=2),
+    "digg": Site(first_driven=True, t100_power=1),
+})
+
+
 @dataclass
 class TimeResponseFunction:
     """Binned response-delay density; mass density[k] * width[k] sums to 1.
@@ -144,12 +169,7 @@ def estimate_trf(
 def _interpolation_weights(n_f: int, site: str) -> tuple[float, float, float]:
     w1 = 1.0 / ((n_f - 1) ** 2 + EPS_W)
     w10 = 1.0 / ((n_f - 10) ** 2 + EPS_W)
-    if site == "twitter":
-        w100 = 1.0 / ((n_f - 100) ** 2 + EPS_W)
-    elif site == "digg":
-        w100 = 1.0 / (abs(n_f - 100) + EPS_W)
-    else:
-        raise ContagionError(f"unknown site {site!r}")
+    w100 = 1.0 / (abs(n_f - 100) ** SITES[site].t100_power + EPS_W)
     return w1, w10, w100
 
 
@@ -165,7 +185,7 @@ def interpolate_trf(
 
     Weighted average of the three cohort functions with weights
     1/((n_f - c)^2 + 1e-6) at centers c = 1, 10, 100; the 100-center weight
-    uses 1/(|n_f - 100| + 1e-6) in the first-appearance-ordered interface.
+    raises |n_f - 100| to the site's ``t100_power`` instead (see :data:`SITES`).
     """
     if not (t1.bin_edges == t10.bin_edges == t100.bin_edges):
         raise BinMismatchError("cohort functions use different bin grids")
@@ -188,6 +208,7 @@ class TrfBundle:
     )
 
     def __post_init__(self):
+        SITES[self.site]  # an unknown site raises here, not at the first lookup
         if not (self.t1.bin_edges == self.t10.bin_edges == self.t100.bin_edges):
             raise BinMismatchError("cohort functions use different bin grids")
 
