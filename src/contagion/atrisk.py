@@ -121,9 +121,7 @@ class ModelHazard:
         if hit is None:
             p_nf = self.params.susceptibility.analytic(n_f)
             p = self.p0 * p_nf if self.first_driven else p_nf
-            # as Python floats: numpy scalars hold the same doubles but compute slower
-            dens = tuple(map(float, self.params.trf.densities_for(n_f)))
-            hit = self._nf[n_f] = (float(p), dens)
+            hit = self._nf[n_f] = (float(p), self.params.trf.densities_for(n_f))
         return hit
 
     def rate_at(self, n_f: int, exposures: Sequence[int], s: int) -> float:

@@ -59,9 +59,12 @@ def _out_dir(path: str) -> Path:
 def _parse_cohort(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("-")
     try:
-        return (int(lo), int(hi or lo))
+        lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise ContagionError(f"friend-count band {text!r} is not N or N-M") from None
+    if lo > hi:
+        raise ContagionError(f"friend-count band {text!r} is reversed: {lo} > {hi}")
+    return lo, hi
 
 
 def _read_json_doc(path, from_json_dict):
@@ -174,8 +177,8 @@ def cmd_fit(args) -> int:
 def cmd_enhance(args) -> int:
     out = _out_dir(args.out)
     model = _read_model(args)
-    _, series, obs_end = _ingest(args)
     cohorts = [_parse_cohort(c) for c in args.cohorts.split(",")] if args.cohorts else []
+    _, series, obs_end = _ingest(args)
     doc = []
     if cohorts:
         tables = fit_enhancement_by_cohort(

@@ -166,8 +166,7 @@ def collect_visibility_bins(
     nf_row: dict[int, int] = {}
     p_dens_rows: list[list[float]] = []  # p * density per delay bin, then p * 0.0
     slot_of: dict[tuple, int] = {}  # (n_e, bin key) -> cell, in order of first occurrence
-    trials: list[int] = []
-    responses: list[int] = []
+    counts = np.zeros((0, 2), dtype=np.int64)  # trials, responses per cell
     sum_nu = np.zeros(0)
     for lo in range(0, len(series_list), BLOCK_SERIES):
         block = series_list[lo : lo + BLOCK_SERIES]
@@ -187,26 +186,53 @@ def collect_visibility_bins(
         pairs, first, pair_code = np.unique(
             n_e * len(values) + value_code, return_index=True, return_inverse=True
         )
-        # integer counts per (n_e, value) pair, added to the cells as Python ints
-        block_trials = np.zeros(len(pairs), dtype=np.int64)
-        np.add.at(block_trials, pair_code, length)
-        block_trials = block_trials.tolist()
-        block_responses = np.bincount(pair_code[holds], minlength=len(pairs)).tolist()
         pair_slot = np.empty(len(pairs), dtype=np.int64)
         for i in np.argsort(first).tolist():
             n_e_i, value_i = divmod(int(pairs[i]), len(values))
-            slot = pair_slot[i] = slot_of.setdefault((n_e_i, labels[value_i]), len(slot_of))
-            if slot == len(trials):
-                trials.append(0)
-                responses.append(0)
-            trials[slot] += block_trials[i]
-            responses[slot] += block_responses[i]
+            pair_slot[i] = slot_of.setdefault((n_e_i, labels[value_i]), len(slot_of))
         if len(slot_of) > len(sum_nu):
-            sum_nu = np.pad(sum_nu, (0, max(len(slot_of), 2 * len(sum_nu)) - len(sum_nu)))
-        np.add.at(sum_nu, pair_slot[pair_code], nu * length)
+            grow = max(len(slot_of), 2 * len(sum_nu)) - len(sum_nu)
+            sum_nu = np.pad(sum_nu, (0, grow))
+            counts = np.pad(counts, ((0, grow), (0, 0)))
+        seg_slot = pair_slot[pair_code]
+        # one column at a time, with int64 values: np.add.at's fast path
+        np.add.at(counts[:, 0], seg_slot, length)
+        np.add.at(counts[:, 1], seg_slot, holds.astype(np.int64))
+        np.add.at(sum_nu, seg_slot, nu * length)
     out: dict[int, dict] = {}
-    for (n_e, idx), n, r, snu in zip(slot_of, trials, responses, sum_nu.tolist()):
+    for (n_e, idx), (n, r), snu in zip(slot_of, counts.tolist(), sum_nu.tolist()):
         out.setdefault(n_e, {})[idx] = [n, r, snu]
+    return out
+
+
+def _regrouped(
+    raw: dict[int, dict],
+    key_of: Callable[[int, float], int | None],
+    nu_of: Callable[[int, int, float], float],
+) -> dict[int, list[VisibilityBin]]:
+    """Merge each n_e's cells under ``key_of(n_e, cell key)`` into bins sorted by key.
+
+    A key of None drops the cell. ``nu_of(key, trials, sum_nu)`` labels a
+    merged cell; its ``mean_nu`` is ``sum_nu / trials``. Every cell has at
+    least one trial, because segments are never empty. An n_e left with no
+    bin is omitted.
+    """
+    out: dict[int, list[VisibilityBin]] = {}
+    for n_e, cells in sorted(raw.items()):
+        merged: dict = {}
+        for cell_key, (n, r, snu) in cells.items():
+            key = key_of(n_e, cell_key)
+            if key is not None:
+                acc = merged.setdefault(key, [0, 0, 0.0])
+                acc[0] += n
+                acc[1] += r
+                acc[2] += snu
+        if merged:
+            out[n_e] = [
+                VisibilityBin(nu=nu_of(key, n, snu), trials=n, responses=r,
+                              mean_nu=snu / n, index=key)
+                for key, (n, r, snu) in sorted(merged.items())
+            ]
     return out
 
 
@@ -227,26 +253,12 @@ def visibility_bins(
     """
     if raw is None:
         raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end)
-    base = raw.get(1, {})
-    usable = {idx for idx, (n, r, _) in base.items() if n > 0 and r > 0}
-    out: dict[int, list[VisibilityBin]] = {}
-    for n_e, cells in sorted(raw.items()):
-        bins = []
-        for idx, (n, r, snu) in sorted(cells.items()):
-            if n_e > 1 and idx not in usable:
-                continue
-            bins.append(
-                VisibilityBin(
-                    nu=log_bin_center(idx),
-                    trials=n,
-                    responses=r,
-                    mean_nu=snu / n if n else 0.0,
-                    index=idx,
-                )
-            )
-        if bins:
-            out[n_e] = bins
-    return out
+    usable = {idx for idx, (_, r, _) in raw.get(1, {}).items() if r > 0}
+    return _regrouped(
+        raw,
+        lambda n_e, idx: idx if n_e == 1 or idx in usable else None,
+        lambda idx, n, snu: log_bin_center(idx),
+    )
 
 
 def pooled_visibility_bins(
@@ -270,7 +282,7 @@ def pooled_visibility_bins(
     if not base:
         raise ContagionError("need n_e = 1 cells to calibrate the baseline")
 
-    pools: dict[float, int] = {}
+    pools = {0.0: -1}  # the zero-visibility floor never merges with positive nu
     pool_id = 0
     acc = 0
     positive = sorted(nu for nu in base if nu > 0.0)
@@ -280,27 +292,8 @@ def pooled_visibility_bins(
         if acc >= MIN_BASELINE_RESPONSES and i != len(positive) - 1:
             pool_id += 1
             acc = 0
-    floor_pool = -1  # distinct key; the floor never merges with positive nu
-
-    out: dict[int, list[VisibilityBin]] = {}
-    for n_e, cells in sorted(raw.items()):
-        merged: dict[int, list] = {}
-        for nu, (n, r, snu) in cells.items():
-            key = floor_pool if nu == 0.0 else pools.get(nu)
-            if key is None:
-                continue  # no baseline cell at this exact value
-            cell = merged.setdefault(key, [0, 0, 0.0])
-            cell[0] += n
-            cell[1] += r
-            cell[2] += snu
-        bins = [
-            VisibilityBin(nu=snu / n, trials=n, responses=r, mean_nu=snu / n, index=key)
-            for key, (n, r, snu) in sorted(merged.items())
-            if n > 0
-        ]
-        if bins:
-            out[n_e] = bins
-    return out
+    # a cell with no baseline cell at its exact value is dropped
+    return _regrouped(raw, lambda n_e, nu: pools.get(nu), lambda key, n, snu: snu / n)
 
 
 def scale_fit_curve(

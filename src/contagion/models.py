@@ -165,10 +165,10 @@ class EnhancementTable:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EnhancementTable":
-        return cls(
-            values={int(k): float(v) for k, v in obj["F"].items()},
-            saturates=bool(obj.get("saturates", False)),
-        )
+        saturates = obj.get("saturates", False)
+        if not isinstance(saturates, bool):
+            raise ContagionError(f"saturates must be true or false, got {saturates!r}")
+        return cls(values={int(k): float(v) for k, v in obj["F"].items()}, saturates=saturates)
 
 
 @dataclass

@@ -8,7 +8,10 @@ and delay-bin edges the hazard is constant, so response times come from
 geometric draws over those segments, and a newly arriving exposure simply
 invalidates and re-samples the scheduled draw. A message arriving in second s
 counts toward the exposure badge from s onward and gains visibility from
-s + 1; duplicate same-second exposures of one user to one item collapse.
+s + 1. Duplicate same-second exposures of one user to one item collapse until
+the user responds; after that they are logged uncollapsed, and
+:func:`events.build_series` removes them and counts them in
+``IngestDiagnostics.duplicate_exposures``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import count
 import numpy as np
 
 from . import inference
-from .atrisk import ModelHazard
+from .atrisk import ModelHazard, _nu, hazard
 from .errors import ContagionError
 from .events import KINDS, MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_series
 from .models import ModelParams
@@ -250,8 +253,16 @@ class _Hazard(ModelHazard):
         return out
 
     def arrival_rates(self, n_f: int, exposures: list[int], t: int) -> tuple[float, float]:
-        """Hazard at second t before and after an exposure arrives; ``exposures`` precede t."""
-        return self.rate_at(n_f, exposures, t), self.rate_at(n_f, [*exposures, t], t)
+        """Hazard at second t before and after an exposure arrives; ``exposures`` precede t.
+
+        ``exposures`` is non-empty. The arrival has delay 0 and so density 0
+        at t: it raises n_e but leaves nu as it is, on either site.
+        """
+        p, dens = self._for_nf(n_f)
+        n_e = len(exposures)
+        nu = _nu(exposures, n_e, p, dens, self.edges[-1], self.first_driven, t)
+        return (hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu),
+                hazard(self.site, self.p0, self.v_min, self.factor, n_e + 1, nu))
 
     def sample(self, n_f: int, exposures: list[int], start: int, rng) -> int | None:
         """The response second drawn from ``start`` on, or None past the horizon.

@@ -78,6 +78,8 @@ class TimeResponseFunction:
     density: tuple[float, ...]
 
     def __post_init__(self):
+        if any(int(e) != e for e in self.bin_edges):
+            raise ContagionError(f"bin edges {self.bin_edges} are not all integers")
         self.bin_edges = tuple(int(e) for e in self.bin_edges)
         self.density = tuple(float(d) for d in self.density)
         if len(self.bin_edges) != len(self.density) + 1:
@@ -202,10 +204,6 @@ class TrfBundle:
     t10: TimeResponseFunction
     t100: TimeResponseFunction
     site: str
-    # densities_for memo; the bundle is frozen, so it cannot go stale
-    _densities: dict[int, tuple[float, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         SITES[self.site]  # an unknown site raises here, not at the first lookup
@@ -220,18 +218,14 @@ class TrfBundle:
         return interpolate_trf(self.t1, self.t10, self.t100, n_f, self.site, dt)
 
     def densities_for(self, n_f: int) -> tuple[float, ...]:
-        """Interpolated per-bin densities for one friend count (memoized)."""
-        dens = self._densities.get(n_f)
-        if dens is None:
-            w1, w10, w100 = _interpolation_weights(n_f, self.site)
-            stack = (
-                w1 * np.asarray(self.t1.density)
-                + w10 * np.asarray(self.t10.density)
-                + w100 * np.asarray(self.t100.density)
-            )
-            dens = tuple(stack / (w1 + w10 + w100))
-            self._densities[n_f] = dens
-        return dens
+        """Interpolated per-bin densities for one friend count, as Python floats."""
+        w1, w10, w100 = _interpolation_weights(n_f, self.site)
+        stack = (
+            w1 * np.asarray(self.t1.density)
+            + w10 * np.asarray(self.t10.density)
+            + w100 * np.asarray(self.t100.density)
+        )
+        return tuple((stack / (w1 + w10 + w100)).tolist())
 
     def to_json_dict(self) -> dict:
         return {

@@ -151,3 +151,16 @@ def test_digg_arrival_rates_equal_rate_at(p0, n_f, arrival):
     hz = _Hazard(make_params("digg", p0), horizon=10 * GRID)
     want = (hz.rate_at(n_f, exposures, t), hz.rate_at(n_f, exposures + [t], t))
     assert hz.arrival_rates(n_f, exposures, t) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p0=st.sampled_from([0.05, 0.6, 40.0, 667.0, 1e5]),
+    n_f=st.sampled_from([1, 3, 10, 37, 100, 150]),
+    arrival=arrivals(),
+)
+def test_twitter_arrival_rates_equal_rate_at(p0, n_f, arrival):
+    exposures, t = arrival
+    hz = _Hazard(make_params("twitter", p0), horizon=10 * GRID)
+    want = (hz.rate_at(n_f, exposures, t), hz.rate_at(n_f, exposures + [t], t))
+    assert hz.arrival_rates(n_f, exposures, t) == want

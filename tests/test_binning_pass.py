@@ -12,10 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from contagion import inference
 from contagion.atrisk import risk_segments
-from contagion.binning import log_bin_index
+from contagion.binning import log_bin_center, log_bin_index
 from contagion.errors import ContagionError
 from contagion.events import ExposureSeries
-from contagion.inference import collect_visibility_bins, pooled_visibility_bins, visibility_bins
+from contagion.inference import (
+    VisibilityBin,
+    collect_visibility_bins,
+    pooled_visibility_bins,
+    visibility_bins,
+)
 from contagion.simulate import synthetic_trf
 from contagion.visibility import TrfBundle
 
@@ -130,6 +135,99 @@ def test_many_blocks_with_repeating_friend_counts():
             want = scalar_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
             got = collect_visibility_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
             assert snapshot(got) == snapshot(want)
+
+
+def scalar_log_bins(raw):
+    """The loop that built visibility_bins from a pass's log bins."""
+    base = raw.get(1, {})
+    usable = {idx for idx, (n, r, _) in base.items() if n > 0 and r > 0}
+    out = {}
+    for n_e, cells in sorted(raw.items()):
+        bins = []
+        for idx, (n, r, snu) in sorted(cells.items()):
+            if n_e > 1 and idx not in usable:
+                continue
+            bins.append(VisibilityBin(nu=log_bin_center(idx), trials=n, responses=r,
+                                      mean_nu=snu / n if n else 0.0, index=idx))
+        if bins:
+            out[n_e] = bins
+    return out
+
+
+def scalar_pooled_bins(raw, min_responses):
+    """The loop that pooled a pass's exact cells for pooled_visibility_bins."""
+    base = raw.get(1, {})
+    if not base:
+        raise ContagionError("need n_e = 1 cells to calibrate the baseline")
+    pools = {}
+    pool_id = 0
+    acc = 0
+    positive = sorted(nu for nu in base if nu > 0.0)
+    for i, nu in enumerate(positive):
+        pools[nu] = pool_id
+        acc += base[nu][1]
+        if acc >= min_responses and i != len(positive) - 1:
+            pool_id += 1
+            acc = 0
+    out = {}
+    for n_e, cells in sorted(raw.items()):
+        merged = {}
+        for nu, (n, r, snu) in cells.items():
+            key = -1 if nu == 0.0 else pools.get(nu)
+            if key is None:
+                continue
+            cell = merged.setdefault(key, [0, 0, 0.0])
+            cell[0] += n
+            cell[1] += r
+            cell[2] += snu
+        bins = [
+            VisibilityBin(nu=snu / n, trials=n, responses=r, mean_nu=snu / n, index=key)
+            for key, (n, r, snu) in sorted(merged.items())
+            if n > 0
+        ]
+        if bins:
+            out[n_e] = bins
+    return out
+
+
+def bin_snapshot(bins_by_ne):
+    """Every VisibilityBin field, with exact types and the bits of each float."""
+    return [
+        (n_e, [(float.hex(b.nu), type(b.trials), b.trials, type(b.responses), b.responses,
+                float.hex(b.mean_nu), type(b.index), b.index) for b in bins])
+        for n_e, bins in bins_by_ne.items()
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    site=st.sampled_from(["digg", "twitter"]),
+    obs_end=st.integers(-5, 400),  # before every exposure, no cell is left
+    min_responses=st.sampled_from([1, 2, 3, inference.MIN_BASELINE_RESPONSES]),
+    rows=st.lists(series_rows(), max_size=12),
+)
+@example(site="twitter", obs_end=100, min_responses=1, rows=[])
+@example(  # unresponded baselines at log bins that higher counts also reach
+    site="digg", obs_end=300, min_responses=1,
+    rows=[(2, (5, 9, 13), None), (2, (5, 9, 13), 31), (37, (40,), 45), (1, (3, 4), 200)],
+)
+def test_bin_builders_match_their_scalar_loops(site, obs_end, min_responses, rows):
+    series = make_series(rows)
+    trf = TRF[site]
+    log_raw = scalar_bins(series, susceptibility, trf, site, obs_end)
+    got = visibility_bins(series, susceptibility, trf, site, obs_end)
+    assert bin_snapshot(got) == bin_snapshot(scalar_log_bins(log_raw))
+
+    exact_raw = scalar_bins(series, susceptibility, trf, site, obs_end, exact=True)
+    with patch.object(inference, "MIN_BASELINE_RESPONSES", min_responses):
+        if 1 not in exact_raw:
+            with pytest.raises(ContagionError, match="need n_e = 1 cells"):
+                pooled_visibility_bins(series, susceptibility, trf, site, obs_end)
+            with pytest.raises(ContagionError, match="need n_e = 1 cells"):
+                scalar_pooled_bins(exact_raw, min_responses)
+            return
+        got = pooled_visibility_bins(series, susceptibility, trf, site, obs_end)
+    assert bin_snapshot(got) == bin_snapshot(scalar_pooled_bins(exact_raw, min_responses))
 
 
 @pytest.mark.parametrize("entry", [collect_visibility_bins, visibility_bins, pooled_visibility_bins])

@@ -444,8 +444,10 @@ def _set(doc, path, value):
     (("log_v_min",), math.nan, "log_v_min must be below infinity"),
     (("trf", "t1", "density", 0), math.nan, "densities must be finite"),
     (("trf", "site"), "twitter", "trf is for 'twitter', model is for 'digg'"),
+    (("enhancement", "saturates"), "false", "saturates must be true or false, got 'false'"),
+    (("trf", "t1", "bin_edges", 1), 2.7, "are not all integers"),
 ], ids=["constant missing", "NaN p0", "infinite p0", "NaN log_v_min", "NaN density",
-        "trf for another site"])
+        "trf for another site", "string saturates", "fractional delay edge"])
 def test_forecast_rejects_a_malformed_model(path, value, expected, sim_dir, fit_dir, tmp_path):
     doc = json.loads((fit_dir / "model.json").read_text())
     _set(doc, path, value)
@@ -554,3 +556,27 @@ def test_validate_rejects_a_trf_horizon_below_1_before_simulating(truth_config, 
     assert main(["validate", "--config", str(truth_config), "--trf-horizon", "0",
                  "--out", str(out)]) == 1
     assert "trf_horizon must be an integer >= 1, got 0" in (out / "error.txt").read_text()
+
+
+def test_enhance_rejects_a_reversed_friend_count_band(sim_dir, fit_dir, tmp_path):
+    out = tmp_path / "enh"
+    out.mkdir()
+    assert main(["enhance", "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--model", str(fit_dir / "model.json"),
+                 "--cohorts", "1-2,9-3", "--out", str(out)]) == 1
+    assert "friend-count band '9-3' is reversed" in (out / "error.txt").read_text()
+    assert not (out / "enhancement.json").exists()
+
+
+def test_validate_rejects_a_reversed_friend_count_band_before_simulating(truth_config, tmp_path,
+                                                                         monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated despite a reversed --enhancement-cohort")
+
+    monkeypatch.setattr(simulate, "generate_graph", no_simulation)
+    monkeypatch.setattr(simulate, "simulate_cascades", no_simulation)
+    out = tmp_path / "val"
+    out.mkdir()
+    assert main(["validate", "--config", str(truth_config), "--enhancement-cohort", "9-3",
+                 "--out", str(out)]) == 1
+    assert "friend-count band '9-3' is reversed" in (out / "error.txt").read_text()
