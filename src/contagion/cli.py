@@ -57,9 +57,9 @@ def _out_dir(path: str) -> Path:
 
 
 def _parse_cohort(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("-")
+    lo, dash, hi = text.partition("-")
     try:
-        lo, hi = int(lo), int(hi or lo)
+        lo, hi = int(lo), int(hi if dash else lo)
     except ValueError:
         raise ContagionError(f"friend-count band {text!r} is not N or N-M") from None
     if lo > hi:
@@ -141,11 +141,10 @@ def cmd_fit(args) -> int:
 
     # One visibility pass feeds the scale fit and the enhancement bins. It is
     # called through the module so that wrappers installed there see it.
-    raw = inference.collect_visibility_bins(series, sus, bundle, site, obs_end)
-    fit_curve = scale_fit_curve(series, sus, bundle, site, obs_end,
-                                min_responses=args.min_fit_responses, raw=raw)
+    raw = inference.collect_visibility_bins(series, sus, bundle, obs_end)
+    fit_curve = scale_fit_curve(raw, min_responses=args.min_fit_responses)
     p0, v_min = fit_scale_and_floor(fit_curve)
-    table = fit_enhancement(visibility_bins(series, sus, bundle, site, obs_end, raw=raw))
+    table = fit_enhancement(visibility_bins(raw))
     table = EnhancementTable(values=dict(table.values), saturates=True)
 
     model = ModelParams(
@@ -179,16 +178,15 @@ def cmd_enhance(args) -> int:
     model = _read_model(args)
     cohorts = [_parse_cohort(c) for c in args.cohorts.split(",")] if args.cohorts else []
     _, series, obs_end = _ingest(args)
+    sus = model.susceptibility.analytic
     doc = []
     if cohorts:
-        tables = fit_enhancement_by_cohort(
-            series, cohorts, model.susceptibility.analytic, model.trf, model.site, obs_end
-        )
+        tables = fit_enhancement_by_cohort(series, cohorts, sus, model.trf, obs_end)
         for (lo, hi), table in sorted(tables.items()):
             doc.append(table.to_json_dict(cohort=f"{lo}-{hi}"))
     else:
-        bins = visibility_bins(series, model.susceptibility.analytic, model.trf, model.site, obs_end)
-        doc.append(fit_enhancement(bins).to_json_dict(cohort="all"))
+        raw = inference.collect_visibility_bins(series, sus, model.trf, obs_end)
+        doc.append(fit_enhancement(visibility_bins(raw)).to_json_dict(cohort="all"))
     _write_json(out / "enhancement.json", doc)
     print(f"enhancement tables -> {out / 'enhancement.json'}")
     return 0
@@ -226,7 +224,7 @@ def cmd_forecast(args) -> int:
         for pt in points:
             writer.writerow([pt.user, pt.item, pt.window_start,
                              f"{pt.predicted:.8g}", int(pt.responded)])
-    curve, wmap = calibration(points, with_wmap=True)
+    curve, wmap = calibration(points)
     _write_calibration(out, curve, wmap)
     print(f"{len(points)} forecasts, wmap={wmap:.4f} -> {out}")
     return 0
@@ -236,23 +234,25 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args.out)
     with open(args.forecasts, encoding="utf-8") as fh:
         rows = csv.DictReader(fh)
-        try:
-            points = [
-                ForecastPoint(
+        points = []
+        for row in rows:
+            try:
+                outcome = int(row["outcome"])
+                if outcome not in (0, 1):
+                    raise ValueError(f"outcome {outcome} is not 0 or 1")
+                points.append(ForecastPoint(
                     user=row["user"],
                     item=row["item"],
                     window_start=int(row["window_start"]),
                     window_len=args.window,
                     predicted=float(row["predicted"]),
-                    responded=bool(int(row["outcome"])),
-                )
-                for row in rows
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContagionError(
-                f"{args.forecasts} line {rows.line_num}: bad row ({exc!r})"
-            ) from exc
-    curve, wmap = calibration(points, with_wmap=True)
+                    responded=outcome == 1,
+                ))
+            except (ContagionError, KeyError, TypeError, ValueError) as exc:
+                raise ContagionError(
+                    f"{args.forecasts} line {rows.line_num}: bad row ({exc!r})"
+                ) from exc
+    curve, wmap = calibration(points)
     _write_calibration(out, curve, wmap)
     print(f"calibration over {len(points)} forecasts, wmap={wmap:.4f} -> {out}")
     return 0

@@ -114,16 +114,13 @@ def forecast_points(
     return out
 
 
-def calibration(
-    points: list[ForecastPoint],
-    min_trials: int = MIN_TRIALS,
-    with_wmap: bool = False,
-):
-    """Reliability curve: observed response frequency per predicted-probability bin.
+def calibration(points: list[ForecastPoint]) -> tuple[CalibrationCurve, float]:
+    """Reliability curve and its summary error, as ``(curve, wmap)``.
 
-    Bins are log-spaced, ``PER_DECADE`` per decade. The summary error
+    The curve holds the observed response frequency per predicted-probability
+    bin; bins are log-spaced, ``PER_DECADE`` per decade. The summary error
     (trial-weighted mean absolute percent deviation of observed from
-    predicted) uses only bins with at least ``min_trials`` trials; if none
+    predicted) uses only bins with at least ``MIN_TRIALS`` trials; if none
     qualify it falls back to all bins.
     Zero-prediction forecasts pool into a floor bin that never enters the
     summary error (a percent error at predicted 0 is undefined).
@@ -144,11 +141,9 @@ def calibration(
         mean_pred = sp / n
         cp = CalibrationPoint(predicted=mean_pred, observed=r / n, trials=n)
         curve_pts.append(cp)
-        if idx != FLOOR_BIN and n >= min_trials:
+        if idx != FLOOR_BIN and n >= MIN_TRIALS:
             qualified.append(cp)
     curve = CalibrationCurve(points=curve_pts)
-    if not with_wmap:
-        return curve
     basis = qualified if qualified else [cp for cp in curve_pts if cp.predicted > 0]
     wmap = wmap_error(CalibrationCurve(points=basis), 1.0, 0.0)
     return curve, wmap

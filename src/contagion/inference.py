@@ -75,6 +75,8 @@ class CalibrationCurve:
 
 def wmap_error(curve: CalibrationCurve, p0: float, v_min: float) -> float:
     """Trial-weighted mean of |p0 * observed + v_min - predicted| / predicted."""
+    if not curve.points:
+        raise ContagionError("percent error needs at least one point with predicted > 0")
     num = 0.0
     den = 0.0
     for pt in curve.points:
@@ -137,14 +139,14 @@ def collect_visibility_bins(
     series_list,
     susceptibility: Callable[[int], float],
     trf: TrfBundle,
-    site: str,
     obs_end: int,
     exact: bool = False,
 ) -> dict[int, dict]:
     """Aggregate at-risk seconds into raw-visibility bins per exposure count.
 
-    Returns {n_e: {bin_key: [trials, responses, sum_nu]}}. Each at-risk
-    second is one Bernoulli trial; the response second is a success trial.
+    The site's rules are read from ``trf.site``. Returns {n_e: {bin_key:
+    [trials, responses, sum_nu]}}. Each at-risk second is one Bernoulli
+    trial; the response second is a success trial.
     Bins are log-spaced (``PER_DECADE`` per decade); seconds whose computed
     visibility is exactly zero pool into the floor bin. With ``exact`` every
     distinct computed visibility value keys its own cell instead (exact
@@ -160,8 +162,6 @@ def collect_visibility_bins(
     """
     if obs_end >= MAX_TIME:
         raise ContagionError(f"obs_end {obs_end} is not below 2**53")
-    if site != trf.site:
-        raise ContagionError(f"binning for {site!r} with a TRF bundle for {trf.site!r}")
     edges = trf.bin_edges
     nf_row: dict[int, int] = {}
     p_dens_rows: list[list[float]] = []  # p * density per delay bin, then p * 0.0
@@ -177,7 +177,7 @@ def collect_visibility_bins(
                 p_dens_rows.append([p_nf * d for d in trf.densities_for(s.n_f)] + [p_nf * 0.0])
         rows = np.fromiter((nf_row[s.n_f] for s in block), np.int64, len(block))
         _, length, n_e, nu, holds = block_segments(
-            block, np.array(p_dens_rows), rows, edges, site, obs_end
+            block, np.array(p_dens_rows), rows, edges, trf.site, obs_end
         )
         values, value_code = np.unique(nu, return_inverse=True)
         labels = values.tolist()
@@ -236,23 +236,14 @@ def _regrouped(
     return out
 
 
-def visibility_bins(
-    series_list,
-    susceptibility: Callable[[int], float],
-    trf: TrfBundle,
-    site: str,
-    obs_end: int,
-    raw: dict[int, dict] | None = None,
-) -> dict[int, list[VisibilityBin]]:
+def visibility_bins(raw: dict[int, dict]) -> dict[int, list[VisibilityBin]]:
     """Visibility-binned trial/response counts keyed by exposure count.
 
+    ``raw`` holds the log cells of one :func:`collect_visibility_bins` pass.
     Bins at n_e > 1 with no matching baseline (n_e = 1) bin, or whose
     baseline saw no responses, are dropped: they carry no likelihood
-    information about the enhancement factor. Pass ``raw`` to reuse an
-    existing :func:`collect_visibility_bins` pass.
+    information about the enhancement factor.
     """
-    if raw is None:
-        raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end)
     usable = {idx for idx, (_, r, _) in raw.get(1, {}).items() if r > 0}
     return _regrouped(
         raw,
@@ -265,7 +256,6 @@ def pooled_visibility_bins(
     series_list,
     susceptibility: Callable[[int], float],
     trf: TrfBundle,
-    site: str,
     obs_end: int,
 ) -> dict[int, list[VisibilityBin]]:
     """Exact visibility cells pooled until each has a well-measured baseline.
@@ -277,7 +267,7 @@ def pooled_visibility_bins(
     never on higher-count outcomes, so it introduces no selection on the
     quantity being estimated. The zero-visibility floor pools separately.
     """
-    raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end, exact=True)
+    raw = collect_visibility_bins(series_list, susceptibility, trf, obs_end, exact=True)
     base = raw.get(1, {})
     if not base:
         raise ContagionError("need n_e = 1 cells to calibrate the baseline")
@@ -296,33 +286,23 @@ def pooled_visibility_bins(
     return _regrouped(raw, lambda n_e, nu: pools.get(nu), lambda key, n, snu: snu / n)
 
 
-def scale_fit_curve(
-    series_list,
-    susceptibility: Callable[[int], float],
-    trf: TrfBundle,
-    site: str,
-    obs_end: int,
-    min_trials: int = MIN_TRIALS,
-    min_responses: int = 1,
-    raw: dict[int, dict[int, list]] | None = None,
-) -> CalibrationCurve:
+def scale_fit_curve(raw: dict[int, dict], min_responses: int = 1) -> CalibrationCurve:
     """Single-message calibration curve for the scale/floor fit.
 
+    ``raw`` holds the log cells of one :func:`collect_visibility_bins` pass.
     One point per visibility bin over n_e = 1 at-risk seconds: predicted is
     the mean computed raw visibility, observed the response rate. Bins with
-    fewer than ``min_trials`` trials or ``min_responses`` responses are
+    fewer than ``MIN_TRIALS`` trials or ``min_responses`` responses are
     excluded: with per-second trials the observable rate is bounded by the
     response count, so sparse-response bins carry mostly noise.
     """
-    if raw is None:
-        raw = collect_visibility_bins(series_list, susceptibility, trf, site, obs_end)
     pts = []
     for idx, (n, r, snu) in sorted(raw.get(1, {}).items()):
         # The floor bin is structural (all beyond-support seconds pool into
         # it) and is the only anchor for the visibility floor, so it is
         # exempt from the response filter.
         needed = 1 if idx == FLOOR_BIN else max(min_responses, 1)
-        if n < min_trials or r < needed:
+        if n < MIN_TRIALS or r < needed:
             continue
         pts.append(CalibrationPoint(predicted=snu / n, observed=r / n, trials=n))
     if not pts:
@@ -412,12 +392,13 @@ def fit_enhancement_by_cohort(
     cohorts: Sequence[tuple[int, int]],
     susceptibility: Callable[[int], float],
     trf: TrfBundle,
-    site: str,
     obs_end: int,
 ) -> dict[tuple[int, int], EnhancementTable]:
     """Independent enhancement MLE per friend-count band.
 
-    Empty cohorts are skipped with a warning rather than failing the batch.
+    Each band gets its own :func:`collect_visibility_bins` pass over its
+    series, regrouped by :func:`visibility_bins`. Empty cohorts are skipped
+    with a warning rather than failing the batch.
     """
     out = {}
     for lo, hi in cohorts:
@@ -425,7 +406,7 @@ def fit_enhancement_by_cohort(
         if not subset:
             logger.warning("cohort n_f in [%d, %d] has no series; skipped", lo, hi)
             continue
-        bins = visibility_bins(subset, susceptibility, trf, site, obs_end)
+        bins = visibility_bins(collect_visibility_bins(subset, susceptibility, trf, obs_end))
         if 1 not in bins:
             logger.warning("cohort n_f in [%d, %d] has no baseline bins; skipped", lo, hi)
             continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ContagionError
-from .visibility import SITES, SusceptibilityCurve, TrfBundle
+from .visibility import SITES, SusceptibilityCurve, TrfBundle, json_number
 
 EXACT_GUARD = 20  # subset enumeration is O(2^n); refuse beyond this
 
@@ -168,7 +168,8 @@ class EnhancementTable:
         saturates = obj.get("saturates", False)
         if not isinstance(saturates, bool):
             raise ContagionError(f"saturates must be true or false, got {saturates!r}")
-        return cls(values={int(k): float(v) for k, v in obj["F"].items()}, saturates=saturates)
+        values = {int(k): float(json_number(v, f"F({k})")) for k, v in obj["F"].items()}
+        return cls(values=values, saturates=saturates)
 
 
 @dataclass
@@ -213,8 +214,8 @@ class ModelParams:
     def from_json_dict(cls, obj: dict) -> "ModelParams":
         return cls(
             site=obj["site"],
-            p0=float(obj["p0"]),
-            log_v_min=float(obj["log_v_min"]),
+            p0=float(json_number(obj["p0"], "p0")),
+            log_v_min=float(json_number(obj["log_v_min"], "log_v_min")),
             enhancement=EnhancementTable.from_json_dict(obj["enhancement"]),
             susceptibility=SusceptibilityCurve.from_json_dict(obj["susceptibility"]),
             trf=TrfBundle.from_json_dict(obj["trf"]),

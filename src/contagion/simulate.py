@@ -515,9 +515,8 @@ def recovery_experiment(
     train_ev, test_ev = train_test_split(apply_spam_cap(events, max_exposures))
     series = build_series(train_ev, graph)
 
-    site = truth.params.site
     horizon = truth.horizon
-    trf_est, sus_est = estimate_visibility(series, site, grid)
+    trf_est, sus_est = estimate_visibility(series, truth.params.site, grid)
     shape_errors: dict[int, float] = {}
     ref = 10
     est_ref = sus_est.analytic(ref)
@@ -528,8 +527,8 @@ def recovery_experiment(
         shape_errors[nf] = abs(est - true) / abs(true)
 
     sus_fn = truth.params.susceptibility.analytic
-    curve = inference.scale_fit_curve(series, sus_fn, trf_est, site, horizon,
-                                      min_responses=min_fit_responses)
+    raw = inference.collect_visibility_bins(series, sus_fn, trf_est, horizon)
+    curve = inference.scale_fit_curve(raw, min_responses=min_fit_responses)
     p0_est, v_est = inference.fit_scale_and_floor(curve)
 
     # The enhancement MLE matches baseline and multi-exposure counts on
@@ -541,7 +540,7 @@ def recovery_experiment(
         f_series = [s for s in series if lo <= s.n_f <= hi]
     else:
         f_series = series
-    bins = inference.pooled_visibility_bins(f_series, sus_fn, trf_est, site, horizon)
+    bins = inference.pooled_visibility_bins(f_series, sus_fn, trf_est, horizon)
     table = inference.fit_enhancement(bins)
 
     responses = sum(1 for ev in events if ev.kind == "response")

@@ -41,6 +41,13 @@ EPS_W = 1e-6  # keeps interpolation weights finite at the cohort centers
 MAX_RESTARTS = 6  # simplex restarts of the susceptibility fit
 
 
+def json_number(value, name: str):
+    """``value`` if it is a JSON number (an int or a float, not a bool); else ContagionError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContagionError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Site:
     """One site's interface rules; every per-site difference follows from these two."""
@@ -119,8 +126,8 @@ class TimeResponseFunction:
     def from_json_dict(cls, obj: dict) -> "TimeResponseFunction":
         return cls(
             cohort_label=obj["cohort"],
-            bin_edges=tuple(obj["bin_edges"]),
-            density=tuple(obj["density"]),
+            bin_edges=tuple(json_number(e, "a delay edge") for e in obj["bin_edges"]),
+            density=tuple(json_number(d, "a density") for d in obj["density"]),
         )
 
 
@@ -306,11 +313,13 @@ class SusceptibilityCurve:
         form = obj.get("form")
         return cls(
             empirical={
-                int(k): (int(v[0]), int(v[1]))
-                for k, v in obj.get("empirical", {}).items()
+                int(k): (int(json_number(r, "a response count")),
+                         int(json_number(n, "a trial count")))
+                for k, (r, n) in obj.get("empirical", {}).items()
             },
             form=SusceptibilityForm(form) if form else None,
-            params={k: float(v) for k, v in obj.get("params", {}).items()},
+            params={k: float(json_number(v, f"constant {k}"))
+                    for k, v in obj.get("params", {}).items()},
         )
 
 

@@ -224,7 +224,7 @@ def test_criterion_6_calibration_consistency_and_ablation():
     series = build_series(simulate_cascades(truth, graph), graph)
     points = forecast_points(params, series, window=30, eval_horizon=240, obs_end=512)
     assert len(points) >= 1_000_000
-    _, wmap_true = calibration(points, with_wmap=True)
+    _, wmap_true = calibration(points)
     assert wmap_true <= 0.02, f"true-model wmap {wmap_true:.3%}"
 
     ablated = ModelParams(
@@ -236,7 +236,7 @@ def test_criterion_6_calibration_consistency_and_ablation():
         trf=trf,
     )
     pts_ablated = forecast_points(ablated, series, window=30, eval_horizon=240, obs_end=512)
-    _, wmap_ablated = calibration(pts_ablated, with_wmap=True)
+    _, wmap_ablated = calibration(pts_ablated)
     assert wmap_ablated > wmap_true
     report(6, f"{len(points)} forecast points: true-model wmap {wmap_true:.3%} "
               f"<= 2%, unit-enhancement wmap {wmap_ablated:.1%} strictly larger")

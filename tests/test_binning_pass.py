@@ -117,7 +117,7 @@ def test_block_pass_matches_the_series_loop(site, exact, obs_end, block, rows):
     trf = TRF[site]
     want = scalar_bins(series, susceptibility, trf, site, obs_end, exact=exact)
     with patch.object(inference, "BLOCK_SERIES", block):
-        got = collect_visibility_bins(series, susceptibility, trf, site, obs_end, exact=exact)
+        got = collect_visibility_bins(series, susceptibility, trf, obs_end, exact=exact)
     assert snapshot(got) == snapshot(want)
 
 
@@ -133,7 +133,7 @@ def test_many_blocks_with_repeating_friend_counts():
     for site in ("digg", "twitter"):
         for exact in (False, True):
             want = scalar_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
-            got = collect_visibility_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
+            got = collect_visibility_bins(series, susceptibility, TRF[site], 150, exact=exact)
             assert snapshot(got) == snapshot(want)
 
 
@@ -215,24 +215,16 @@ def test_bin_builders_match_their_scalar_loops(site, obs_end, min_responses, row
     series = make_series(rows)
     trf = TRF[site]
     log_raw = scalar_bins(series, susceptibility, trf, site, obs_end)
-    got = visibility_bins(series, susceptibility, trf, site, obs_end)
+    got = visibility_bins(collect_visibility_bins(series, susceptibility, trf, obs_end))
     assert bin_snapshot(got) == bin_snapshot(scalar_log_bins(log_raw))
 
     exact_raw = scalar_bins(series, susceptibility, trf, site, obs_end, exact=True)
     with patch.object(inference, "MIN_BASELINE_RESPONSES", min_responses):
         if 1 not in exact_raw:
             with pytest.raises(ContagionError, match="need n_e = 1 cells"):
-                pooled_visibility_bins(series, susceptibility, trf, site, obs_end)
+                pooled_visibility_bins(series, susceptibility, trf, obs_end)
             with pytest.raises(ContagionError, match="need n_e = 1 cells"):
                 scalar_pooled_bins(exact_raw, min_responses)
             return
-        got = pooled_visibility_bins(series, susceptibility, trf, site, obs_end)
+        got = pooled_visibility_bins(series, susceptibility, trf, obs_end)
     assert bin_snapshot(got) == bin_snapshot(scalar_pooled_bins(exact_raw, min_responses))
-
-
-@pytest.mark.parametrize("entry", [collect_visibility_bins, visibility_bins, pooled_visibility_bins])
-@pytest.mark.parametrize("site,other", [("digg", "twitter"), ("twitter", "digg")])
-def test_a_site_other_than_the_bundles_is_rejected(entry, site, other):
-    series = make_series([(10, (3, 4, 6), 6), (1, (5,), None)])
-    with pytest.raises(ContagionError, match=f"binning for '{site}' with a TRF bundle for '{other}'"):
-        entry(series, susceptibility, TRF[other], site, 100)

@@ -368,6 +368,10 @@ def _failing_argv(case, sim_dir, fit_dir, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))
         return ["forecast", *events, *io, "--model", str(bad)]
+    if case == "every forecast zero":
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("user,item,window_start,predicted,outcome\n" + "u1,x,0,0,0\n" * 3)
+        return ["calibrate", "--forecasts", str(zeros)]
     bad = tmp_path / "forecasts.csv"
     bad.write_text("user,item,predicted,outcome\nu1,x,0.5,1\n")
     return ["calibrate", "--forecasts", str(bad)]
@@ -380,12 +384,27 @@ def _failing_argv(case, sim_dir, fit_dir, tmp_path):
     "csv without window_start",
     "empty split",
     "mistyped model field",
+    "every forecast zero",
 ])
 def test_cli_failure_leaves_error_txt(case, sim_dir, fit_dir, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert main([*_failing_argv(case, sim_dir, fit_dir, tmp_path), "--out", str(out)]) == 1
     assert (out / "error.txt").read_text().strip()
+
+
+@pytest.mark.parametrize("row,expected", [
+    ("u2,x,30,0.5,7", "line 3: bad row (ValueError('outcome 7 is not 0 or 1'))"),
+    ("u2,x,30,0.5,-1", "line 3: bad row (ValueError('outcome -1 is not 0 or 1'))"),
+    ("u2,x,30,1.5,0", "line 3: bad row (ContagionError('predicted probability outside [0, 1]'))"),
+], ids=["outcome 7", "outcome -1", "predicted 1.5"])
+def test_calibrate_rejects_a_bad_row_and_names_its_line(row, expected, tmp_path):
+    forecasts = tmp_path / "forecasts.csv"
+    forecasts.write_text(f"user,item,window_start,predicted,outcome\nu1,x,0,0.5,1\n{row}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["calibrate", "--forecasts", str(forecasts), "--out", str(out)]) == 1
+    assert expected in (out / "error.txt").read_text()
 
 
 @pytest.mark.parametrize("command,model_doc,expected", [
@@ -446,8 +465,13 @@ def _set(doc, path, value):
     (("trf", "site"), "twitter", "trf is for 'twitter', model is for 'digg'"),
     (("enhancement", "saturates"), "false", "saturates must be true or false, got 'false'"),
     (("trf", "t1", "bin_edges", 1), 2.7, "are not all integers"),
+    (("enhancement", "F", "1"), "1", "F(1) must be a number, got '1'"),
+    (("enhancement", "F", "1"), True, "F(1) must be a number, got True"),
+    (("trf", "t1", "density", 0), "0.5", "a density must be a number, got '0.5'"),
+    (("p0",), "667", "p0 must be a number, got '667'"),
 ], ids=["constant missing", "NaN p0", "infinite p0", "NaN log_v_min", "NaN density",
-        "trf for another site", "string saturates", "fractional delay edge"])
+        "trf for another site", "string saturates", "fractional delay edge", "string F",
+        "boolean F", "string density", "string p0"])
 def test_forecast_rejects_a_malformed_model(path, value, expected, sim_dir, fit_dir, tmp_path):
     doc = json.loads((fit_dir / "model.json").read_text())
     _set(doc, path, value)
@@ -559,13 +583,16 @@ def test_validate_rejects_a_trf_horizon_below_1_before_simulating(truth_config, 
 
 
 def test_enhance_rejects_a_reversed_friend_count_band(sim_dir, fit_dir, tmp_path):
-    out = tmp_path / "enh"
-    out.mkdir()
-    assert main(["enhance", "--events", str(sim_dir / "events.jsonl"),
-                 "--graph", str(sim_dir / "graph.jsonl"), "--model", str(fit_dir / "model.json"),
-                 "--cohorts", "1-2,9-3", "--out", str(out)]) == 1
-    assert "friend-count band '9-3' is reversed" in (out / "error.txt").read_text()
-    assert not (out / "enhancement.json").exists()
+    for cohorts, expected in [("1-2,9-3", "friend-count band '9-3' is reversed"),
+                              ("3-", "friend-count band '3-' is not N or N-M")]:
+        out = tmp_path / cohorts
+        out.mkdir()
+        assert main(["enhance", "--events", str(sim_dir / "events.jsonl"),
+                     "--graph", str(sim_dir / "graph.jsonl"),
+                     "--model", str(fit_dir / "model.json"),
+                     "--cohorts", cohorts, "--out", str(out)]) == 1
+        assert expected in (out / "error.txt").read_text()
+        assert not (out / "enhancement.json").exists()
 
 
 def test_validate_rejects_a_reversed_friend_count_band_before_simulating(truth_config, tmp_path,

@@ -142,7 +142,7 @@ class TestCalibration:
                           predicted=0.3, responded=i < 3)
             for i in range(10)
         ]
-        curve, wmap = calibration(points, with_wmap=True)
+        curve, wmap = calibration(points)
         assert len(curve.points) == 1
         assert curve.points[0].observed == pytest.approx(0.3)
         assert wmap == pytest.approx(0.0, abs=1e-12)
@@ -161,7 +161,7 @@ class TestCalibration:
                     ForecastPoint(user="u", item="x", window_start=0, window_len=30,
                                   predicted=p, responded=bool(rng.random() < p))
                 )
-            _, wmap = calibration(points, with_wmap=True)
+            _, wmap = calibration(points)
             return wmap
 
         small = run(5_000, 12)
@@ -185,8 +185,8 @@ class TestCalibration:
                 ForecastPoint(user="u", item="x", window_start=0, window_len=30,
                               predicted=base, responded=outcome)
             )
-        _, wmap_true = calibration(truthful, with_wmap=True)
-        _, wmap_ablated = calibration(ablated, with_wmap=True)
+        _, wmap_true = calibration(truthful)
+        _, wmap_ablated = calibration(ablated)
         assert wmap_ablated > wmap_true
         assert wmap_ablated > 0.5  # observed sits a factor 2 off the diagonal
 
@@ -201,7 +201,7 @@ class TestCalibration:
                           predicted=0.8, responded=False)
             for i in range(5)
         ]
-        curve, wmap = calibration(points, min_trials=30, with_wmap=True)
+        curve, wmap = calibration(points)
         # the tiny 0.8 bin is reported on the curve but not in the error
         assert len(curve.points) == 2
         big = next(pt for pt in curve.points if pt.trials == 100)
@@ -214,5 +214,5 @@ def test_wmap_identity_matches_inference_formula():
                       predicted=0.2, responded=i < 20)
         for i in range(50)
     ]
-    curve, wmap = calibration(pts, with_wmap=True)
+    curve, wmap = calibration(pts)
     assert wmap == pytest.approx(wmap_error(curve, 1.0, 0.0))

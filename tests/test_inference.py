@@ -241,7 +241,6 @@ class TestEnhancementRecovery:
             series,
             truth.params.susceptibility.analytic,
             truth.params.trf,
-            "digg",
             truth.horizon,
         )
         table = fit_enhancement(bins)
@@ -255,10 +254,10 @@ class TestEnhancementRecovery:
         series = build_series(events, graph)
         sus = truth.params.susceptibility.analytic
         whole = fit_enhancement_by_cohort(
-            series, [(1, 10_000)], sus, truth.params.trf, "digg", truth.horizon
+            series, [(1, 10_000)], sus, truth.params.trf, truth.horizon
         )
         direct = fit_enhancement(
-            visibility_bins(series, sus, truth.params.trf, "digg", truth.horizon)
+            visibility_bins(collect_visibility_bins(series, sus, truth.params.trf, truth.horizon))
         )
         table = whole[(1, 10_000)]
         for n_e, value in direct.values.items():
@@ -274,7 +273,6 @@ class TestEnhancementRecovery:
             [(5000, 6000)],
             truth.params.susceptibility.analytic,
             truth.params.trf,
-            "digg",
             truth.horizon,
         )
         assert out == {}
@@ -290,7 +288,7 @@ class TestVisibilityBinCollection:
         )
         s = ExposureSeries(user="a", item="x", n_f=1,
                            exposure_times=(10, 20), response_time=25)
-        raw = collect_visibility_bins([s], lambda nf: 0.01, trf, "digg", 1000)
+        raw = collect_visibility_bins([s], lambda nf: 0.01, trf, 1000)
         # trials: seconds 10..25 inclusive = 16, split between n_e=1 and n_e=2
         total = sum(cell[0] for cells in raw.values() for cell in cells.values())
         assert total == 16
@@ -312,7 +310,7 @@ class TestVisibilityBinCollection:
                            exposure_times=(0,), response_time=(3 if i < 4 else None))
             for i in range(50)
         ]
-        curve = scale_fit_curve(rows, lambda nf: 0.01, trf, "digg", 64,
-                                min_trials=30, min_responses=1)
+        curve = scale_fit_curve(collect_visibility_bins(rows, lambda nf: 0.01, trf, 64),
+                                min_responses=1)
         assert all(pt.trials >= 30 for pt in curve.points)
         assert all(pt.observed > 0 for pt in curve.points)

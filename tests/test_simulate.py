@@ -303,7 +303,6 @@ class TestSupportingPieces:
                 series,
                 truth.params.susceptibility.analytic,
                 truth.params.trf,
-                "digg",
                 truth.horizon,
             )
             table = fit_enhancement(bins)

@@ -1,6 +1,7 @@
 """The site table: unknown names are rejected, and no per-site branch lives outside it."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ import contagion
 from contagion.atrisk import hazard, risk_segments, visibility_segments
 from contagion.errors import ContagionError
 from contagion.events import ExposureSeries
-from contagion.inference import collect_visibility_bins
 from contagion.simulate import synthetic_trf
 from contagion.visibility import TrfBundle, interpolate_trf
 
@@ -33,15 +33,21 @@ def test_trf_bundle_rejects_an_unknown_site():
     lambda site: visibility_segments([5, 9], 0.5, T1.density, T1.bin_edges, site, 0, 100),
     lambda site: risk_segments(SERIES, 0.5, T1.density, T1.bin_edges, site, 100),
     lambda site: interpolate_trf(T1, T10, T100, 10, site, 3.0),
-    lambda site: collect_visibility_bins([SERIES], lambda n_f: 0.5,
-                                         TRF.get(site, TRF["digg"]), site, 100),
-], ids=["hazard", "visibility_segments", "risk_segments", "interpolate_trf",
-        "collect_visibility_bins"])
+], ids=["hazard", "visibility_segments", "risk_segments", "interpolate_trf"])
 def test_an_unknown_site_name_is_rejected(call):
     for site in ("digg", "twitter"):
         call(site)
     with pytest.raises(ContagionError, match="myspace"):
         call("myspace")
+
+
+def test_no_public_function_takes_both_a_trf_bundle_and_a_site():
+    both = [
+        name for name in contagion.__all__
+        if inspect.isfunction(getattr(contagion, name))
+        and {"trf", "site"} <= inspect.signature(getattr(contagion, name)).parameters.keys()
+    ]
+    assert both == []
 
 
 def _subtree(node: ast.AST) -> set[int]:
