@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 # risk_segments is the scalar reference for block_segments (and the name
 # perfbench's segment counter wraps), kept importable from here
@@ -27,6 +26,7 @@ from .binning import FLOOR_BIN, log_bin_center, log_bin_index
 from .errors import BracketError, ContagionError, FitError
 from .events import MAX_TIME
 from .models import EnhancementTable
+from .simplex import nelder_mead
 from .visibility import TrfBundle
 
 logger = logging.getLogger(__name__)
@@ -104,8 +104,8 @@ def fit_scale_and_floor(curve: CalibrationCurve) -> tuple[float, float]:
 
     Points are (computed raw visibility, observed response rate, trials) from
     single-message events. Coarse log-grid search followed by simplex descent
-    on the wmap objective; deterministic. Zero-observed points carry no
-    percent-error information and are skipped.
+    (``simplex.nelder_mead``) on the wmap objective; deterministic.
+    Zero-observed points carry no percent-error information and are skipped.
     """
     if len({(pt.predicted, pt.observed) for pt in curve.points}) < 3:
         raise FitError("need at least 3 distinct calibration points")
@@ -124,14 +124,11 @@ def fit_scale_and_floor(curve: CalibrationCurve) -> tuple[float, float]:
         return wmap_error(target, math.exp(x[0]), math.exp(x[1]))
 
     def descend(x):
-        return optimize.minimize(
-            objective, x, method="Nelder-Mead",
-            options={"maxiter": 3000, "xatol": 1e-10, "fatol": 1e-14},
-        )
+        return nelder_mead(objective, x, maxiter=3000, xatol=1e-10, fatol=1e-14)
 
-    res = descend(np.array([best[1] * math.log(10.0), best[2] * math.log(10.0)]))
-    res2 = descend(res.x)  # one restart from the first simplex's end point
-    x = res2.x if res2.fun <= res.fun else res.x
+    x1, f1, _ = descend(np.array([best[1] * math.log(10.0), best[2] * math.log(10.0)]))
+    x2, f2, _ = descend(x1)  # one restart from the first simplex's end point
+    x = x2 if f2 <= f1 else x1
     return math.exp(x[0]), math.exp(x[1])
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .binning import delay_bin, pow2_edges
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     FitConvergenceError,
     FitError,
 )
+from .simplex import nelder_mead
 
 # Friend-count bands used to estimate the three reference functions.
 COHORTS: dict[str, tuple[int, int]] = {
@@ -311,12 +311,15 @@ class SusceptibilityCurve:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SusceptibilityCurve":
         form = obj.get("form")
+        empirical = {}
+        for k, (r, n) in obj.get("empirical", {}).items():
+            counts = (json_number(r, "a response count"), json_number(n, "a trial count"))
+            if not (all(isinstance(c, int) or c.is_integer() for c in counts) and 0 <= r <= n):
+                raise ContagionError(f"empirical counts {[r, n]} at n_f {k} are not integers "
+                                     "with 0 <= responses <= trials")
+            empirical[int(k)] = (int(r), int(n))
         return cls(
-            empirical={
-                int(k): (int(json_number(r, "a response count")),
-                         int(json_number(n, "a trial count")))
-                for k, (r, n) in obj.get("empirical", {}).items()
-            },
+            empirical=empirical,
             form=SusceptibilityForm(form) if form else None,
             params={k: float(json_number(v, f"constant {k}"))
                     for k, v in obj.get("params", {}).items()},
@@ -368,10 +371,10 @@ def fit_susceptibility_analytic(
     """Fit the closed form to the empirical curve by RMS error in log space.
 
     Deterministic: a data-informed starting point and a fixed sequence of
-    simplex restarts. Only friend counts with at least one response enter
-    (zero probabilities have no logarithm). Positive constants are searched
-    in log space; the two interchangeable pole offsets of the five-parameter
-    form are ordered D <= E on return.
+    simplex restarts (``simplex.nelder_mead``). Only friend counts with at
+    least one response enter (zero probabilities have no logarithm). Positive
+    constants are searched in log space; the two interchangeable pole offsets
+    of the five-parameter form are ordered D <= E on return.
     """
     points = [
         (nf, r / t) for nf, (r, t) in sorted(curve.empirical.items()) if r > 0
@@ -399,31 +402,28 @@ def fit_susceptibility_analytic(
         return _rms_log_error(form, _unpack(form, x), points)
 
     x = _pack(form, start)
-    best = None
+    best_x = best_fun = None
     converged = False
     prev_fun = math.inf
     for _ in range(MAX_RESTARTS):
-        res = optimize.minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-14},
+        res_x, res_fun, success = nelder_mead(
+            objective, x, maxiter=4000, xatol=1e-12, fatol=1e-14
         )
-        if best is None or res.fun < best.fun:
-            best = res
-        x = best.x
+        if best_x is None or res_fun < best_fun:
+            best_x, best_fun = res_x, res_fun
+        x = best_x
         # Converged when a full restart no longer moves the objective.
-        if res.success or prev_fun - res.fun <= 1e-10 * max(1.0, abs(res.fun)):
+        if success or prev_fun - res_fun <= 1e-10 * max(1.0, abs(res_fun)):
             converged = True
             break
-        prev_fun = res.fun
+        prev_fun = res_fun
 
-    params = _unpack(form, best.x)
+    params = _unpack(form, best_x)
     if form == SusceptibilityForm.DIGG and params["D"] > params["E"]:
         params["D"], params["E"] = params["E"], params["D"]
-    if not converged or not math.isfinite(best.fun):
+    if not converged or not math.isfinite(best_fun):
         raise FitConvergenceError(
-            f"no convergence after {MAX_RESTARTS} restarts (rms {best.fun:g})",
+            f"no convergence after {MAX_RESTARTS} restarts (rms {best_fun:g})",
             best_params=params,
         )
     return params

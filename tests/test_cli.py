@@ -469,9 +469,13 @@ def _set(doc, path, value):
     (("enhancement", "F", "1"), True, "F(1) must be a number, got True"),
     (("trf", "t1", "density", 0), "0.5", "a density must be a number, got '0.5'"),
     (("p0",), "667", "p0 must be a number, got '667'"),
+    (("susceptibility", "empirical", "1"), [2.5, 10.9], "counts [2.5, 10.9] at n_f 1 are not"),
+    (("susceptibility", "empirical", "1"), [-1, 10], "counts [-1, 10] at n_f 1 are not"),
+    (("susceptibility", "empirical", "1"), [12, 10], "counts [12, 10] at n_f 1 are not"),
 ], ids=["constant missing", "NaN p0", "infinite p0", "NaN log_v_min", "NaN density",
         "trf for another site", "string saturates", "fractional delay edge", "string F",
-        "boolean F", "string density", "string p0"])
+        "boolean F", "string density", "string p0", "fractional counts", "negative count",
+        "responses above trials"])
 def test_forecast_rejects_a_malformed_model(path, value, expected, sim_dir, fit_dir, tmp_path):
     doc = json.loads((fit_dir / "model.json").read_text())
     _set(doc, path, value)
