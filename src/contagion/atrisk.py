@@ -8,8 +8,9 @@ A message arriving at second s counts toward n_e from s onward but has zero
 delay density until s + 1. A first-driven site's visibility follows the first
 exposure only, nu = p * T(dt_1); otherwise all exposures combine as
 nu = 1 - prod(1 - p * T(dt_i)). Which rule a site follows, its hazard form
-and its multiplier p are in :data:`visibility.SITES`; :class:`ModelHazard`
-applies the p rule for the simulator and forecasting.
+and its multiplier p are in :data:`visibility.SITES`. :class:`ModelHazard`
+resolves a model's site once and owns its hazard form, for the simulator and
+forecasting; the per-run code below it takes the resolved rule, not a name.
 
 Visibility binning does not loop over :func:`risk_segments` series by
 series: :func:`block_segments` computes the same segments for a block of
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _nu(
 
 
 def visibility_segments(
-    exposures: Sequence[int], p: float, dens, edges, site: str, t_from: int, t_to: int
+    exposures: Sequence[int], p: float, dens, edges, first_driven: bool, t_from: int, t_to: int
 ) -> list[tuple[int, int, int, float]]:
     """Constant-visibility runs (start, end, n_e, nu) tiling [t_from, t_to).
 
@@ -60,7 +61,6 @@ def visibility_segments(
     otherwise. ``exposures`` must be ascending. Each run's (n_e, nu) is that
     of its start second, with n_e advanced run by run.
     """
-    first_driven = SITES[site].first_driven
     if t_from >= t_to:
         return []
     points = {t_from, t_to}
@@ -84,30 +84,11 @@ def visibility_segments(
     return out
 
 
-def hazard(
-    site: str, p0: float, v_min: float, factor: Callable[[int], float], n_e: int, nu: float
-) -> float:
-    """Clamped per-second response probability for (n_e, nu).
-
-    The form is the site's (see :data:`visibility.SITES`); with no exposure
-    yet only the floor remains.
-    """
-    first_driven = SITES[site].first_driven
-    if n_e == 0:
-        raw = v_min
-    elif first_driven:
-        raw = factor(n_e) * (nu + v_min)
-    else:
-        raw = p0 * factor(n_e) * nu + v_min
-    return 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
-
-
 class ModelHazard:
-    """One model's per-second hazard, with its per-friend-count constants memoized."""
+    """One model's per-second hazard: site resolved once, per-friend-count constants memoized."""
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.site = params.site
         self.first_driven = SITES[params.site].first_driven
         self.p0 = params.p0
         self.v_min = params.v_min
@@ -124,22 +105,33 @@ class ModelHazard:
             hit = self._nf[n_f] = (float(p), self.params.trf.densities_for(n_f))
         return hit
 
+    def hazard(self, n_e: int, nu: float) -> float:
+        """Clamped per-second response probability for (n_e, nu); at n_e == 0 only the floor."""
+        if n_e == 0:
+            raw = self.v_min
+        elif self.first_driven:
+            raw = self.factor(n_e) * (nu + self.v_min)
+        else:
+            raw = self.p0 * self.factor(n_e) * nu + self.v_min
+        return 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
+
     def rate_at(self, n_f: int, exposures: Sequence[int], s: int) -> float:
         """Hazard for second s."""
         p, dens = self._for_nf(n_f)
         n_e = bisect_right(exposures, s)  # exposures at or before s
         nu = _nu(exposures, n_e, p, dens, self.edges[-1], self.first_driven, s) if n_e else 0.0
-        return hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu)
+        return self.hazard(n_e, nu)
 
     def runs(
         self, n_f: int, exposures: Sequence[int], t_from: int, t_to: int
     ) -> list[tuple[int, int, float]]:
         """Constant-hazard runs (start, end, lam) tiling [t_from, t_to)."""
         p, dens = self._for_nf(n_f)
+        hazard = self.hazard
         return [
-            (a, b, hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu))
+            (a, b, hazard(n_e, nu))
             for a, b, n_e, nu in visibility_segments(
-                exposures, p, dens, self.edges, self.site, t_from, t_to
+                exposures, p, dens, self.edges, self.first_driven, t_from, t_to
             )
         ]
 
@@ -157,7 +149,8 @@ def risk_segments(
     if series.response_time is not None and series.response_time <= obs_end:
         end = series.response_time
     times = series.exposure_times
-    return visibility_segments(times, p_nf, densities, edges, site, times[0], end + 1)
+    first_driven = SITES[site].first_driven
+    return visibility_segments(times, p_nf, densities, edges, first_driven, times[0], end + 1)
 
 
 def _delay_bins(dt: np.ndarray, n_bins: int) -> np.ndarray:

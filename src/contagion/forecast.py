@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .atrisk import ModelHazard
 from .binning import FLOOR_BIN, log_bin_index
 from .errors import ContagionError
-from .events import ExposureSeries
+from .events import MAX_TIME, ExposureSeries
 from .inference import MIN_TRIALS, CalibrationCurve, CalibrationPoint, wmap_error
 from .models import ModelParams
 
@@ -86,6 +86,8 @@ def forecast_points(
         series_list = list(series_list)
         obs_end = max((max(s.exposure_times[-1], s.response_time or 0) for s in series_list),
                       default=0)
+    if obs_end is not None and obs_end >= MAX_TIME:
+        raise ContagionError(f"obs_end {obs_end} is not below 2**53")
     hz = ModelHazard(params)
     out: list[ForecastPoint] = []
     for s in series_list:

@@ -6,6 +6,11 @@ and ``fatol`` set: the same initial simplex, the same numpy expressions for
 each move, the same re-sorts and the same convergence test. The fits give
 bit-identical results to it, and importing the package stays cheap;
 ``tests/test_simplex.py`` holds the two side by side.
+
+Like SciPy, it orders tied vertices with numpy's default ``argsort``, which
+is not stable on ties and may order them differently on CPUs with different
+sort kernels. A fit that reaches tied values (``inf`` wherever a closed form
+is not positive) can therefore keep a different vertex on another host.
 """
 
 from __future__ import annotations

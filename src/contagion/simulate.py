@@ -27,9 +27,11 @@ from itertools import count
 import numpy as np
 
 from . import inference
-from .atrisk import ModelHazard, _nu, hazard
+from .atrisk import ModelHazard, _nu
 from .errors import ContagionError
-from .events import KINDS, MAX_EXPOSURES, Event, FollowerGraph, apply_spam_cap, build_series
+from .events import (
+    KINDS, MAX_EXPOSURES, MAX_TIME, Event, FollowerGraph, apply_spam_cap, build_series,
+)
 from .models import ModelParams
 from .visibility import (
     COHORTS,
@@ -261,8 +263,7 @@ class _Hazard(ModelHazard):
         p, dens = self._for_nf(n_f)
         n_e = len(exposures)
         nu = _nu(exposures, n_e, p, dens, self.edges[-1], self.first_driven, t)
-        return (hazard(self.site, self.p0, self.v_min, self.factor, n_e, nu),
-                hazard(self.site, self.p0, self.v_min, self.factor, n_e + 1, nu))
+        return self.hazard(n_e, nu), self.hazard(n_e + 1, nu)
 
     def sample(self, n_f: int, exposures: list[int], start: int, rng) -> int | None:
         """The response second drawn from ``start`` on, or None past the horizon.
@@ -510,6 +511,8 @@ def recovery_experiment(
     # it are pure visibility-floor trials, which pin v_min.
     grid = trf_horizon if trf_horizon is not None else truth.horizon
     _require_int("trf_horizon", grid, 1)  # before the costly simulation
+    if grid > MAX_TIME:
+        raise ContagionError(f"trf_horizon {grid} is past 2**53")
     graph = generate_graph(truth.graph, truth.rng_seed)
     events = simulate_cascades(truth, graph)
     train_ev, test_ev = train_test_split(apply_spam_cap(events, max_exposures))

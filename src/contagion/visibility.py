@@ -27,6 +27,7 @@ from .errors import (
     FitConvergenceError,
     FitError,
 )
+from .events import MAX_TIME
 from .simplex import nelder_mead
 
 # Friend-count bands used to estimate the three reference functions.
@@ -94,6 +95,8 @@ class TimeResponseFunction:
         # the fast paths find a delay's bin from its bit length
         if self.bin_edges != tuple(1 << k for k in range(len(self.bin_edges))):
             raise ContagionError(f"bin edges {self.bin_edges} are not 1, 2, 4, ... (powers of two)")
+        if self.bin_edges[-1] > MAX_TIME:  # the binning pass adds edges to times in int64
+            raise ContagionError(f"last delay edge {self.bin_edges[-1]} is past 2**53")
         if not all(0.0 <= d < math.inf for d in self.density):
             raise ContagionError(f"densities must be finite and non-negative, got {self.density}")
         mass = self.total_mass

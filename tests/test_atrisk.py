@@ -3,12 +3,15 @@
 import math
 from bisect import bisect_right
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from contagion.atrisk import ModelHazard, hazard, visibility_segments
+from contagion import atrisk
+from contagion.atrisk import ModelHazard, visibility_segments
 from contagion.models import EnhancementTable, ModelParams, digg_probability, twitter_probability
 from contagion.simulate import _Hazard, synthetic_trf
-from contagion.visibility import SusceptibilityCurve, SusceptibilityForm, TrfBundle
+from contagion.visibility import SITES, SusceptibilityCurve, SusceptibilityForm, TrfBundle
 
 DIGG_CONSTANTS = {"A": 7.6e-3, "B": -6.2e-2, "C": 1.7e-3, "D": 3.7, "E": 17.8}
 TWITTER_CONSTANTS = {"A": 0.2, "P": 1.0, "B": 1.0}
@@ -46,8 +49,8 @@ def kernel_runs(params: ModelParams, n_f: int, exposures, t_from: int, t_to: int
     p_nf = params.susceptibility.analytic(n_f)
     p = params.p0 * p_nf if params.site == "digg" else p_nf
     dens = params.trf.densities_for(n_f)
-    return visibility_segments(exposures, p, dens, params.trf.bin_edges, params.site,
-                               t_from, t_to)
+    return visibility_segments(exposures, p, dens, params.trf.bin_edges,
+                               SITES[params.site].first_driven, t_from, t_to)
 
 
 @settings(max_examples=150, deadline=None)
@@ -70,7 +73,7 @@ def test_kernel_tiles_window_and_matches_oracle(site, p0, n_f, exposures, t_from
         assert end == start
     for a, b, n_e, nu in runs:
         assert a < b
-        lam = hazard(site, params.p0, params.v_min, params.enhancement.factor, n_e, nu)
+        lam = ModelHazard(params).hazard(n_e, nu)
         for s in range(a, b):
             assert n_e == sum(1 for te in exposures if te <= s)
             want = oracle(params, n_f, exposures, s)
@@ -164,3 +167,33 @@ def test_twitter_arrival_rates_equal_rate_at(p0, n_f, arrival):
     hz = _Hazard(make_params("twitter", p0), horizon=10 * GRID)
     want = (hz.rate_at(n_f, exposures, t), hz.rate_at(n_f, exposures + [t], t))
     assert hz.arrival_rates(n_f, exposures, t) == want
+
+
+class _NoLookup:
+    """A site table whose every lookup fails."""
+
+    def __getitem__(self, site):
+        raise AssertionError(f"site {site!r} looked up after construction")
+
+
+def _hazard_calls(hz: _Hazard) -> list:
+    exposures = [5, 9, 40]
+    return [
+        hz.runs(10, exposures, 0, 300),
+        [hz.rate_at(10, exposures, s) for s in (0, 5, 8, 9, 12, 40, 41, 100)],
+        hz.arrival_rates(10, exposures[:2], 40),
+        [hz.sample(10, exposures, 10, np.random.default_rng(seed)) for seed in range(20)],
+    ]
+
+
+# p0 per site such that some of the sampled responses land inside the horizon
+@pytest.mark.parametrize("site, p0", [("twitter", 0.6), ("digg", 1e4)])
+def test_no_site_lookup_after_construction(site, p0, monkeypatch):
+    params = make_params(site, p0)
+    want = _hazard_calls(_Hazard(params, horizon=10 * GRID))
+    plain = ModelHazard(params)
+    fresh = _Hazard(params, horizon=10 * GRID)  # memos still cold
+    monkeypatch.setattr(atrisk, "SITES", _NoLookup())
+    assert _hazard_calls(fresh) == want
+    assert plain.runs(10, [5, 9, 40], 0, 300) == want[0]
+    assert plain.rate_at(10, [5, 9, 40], 41) == want[1][6]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from contagion import simulate
+from contagion import forecast, simulate
 from contagion.cli import main
 from contagion.events import Event, write_event_log
 from contagion.models import EnhancementTable, ModelParams
@@ -572,18 +572,71 @@ def test_fit_rejects_a_trf_horizon_below_1(horizon, sim_dir, tmp_path):
     assert f"trf_horizon must be an integer >= 1, got {horizon}" in (out / "error.txt").read_text()
 
 
-def test_validate_rejects_a_trf_horizon_below_1_before_simulating(truth_config, tmp_path,
-                                                                   monkeypatch):
-    def no_simulation(*args, **kwargs):
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def fail(*args, **kwargs):
         raise AssertionError("simulated despite an invalid --trf-horizon")
 
-    monkeypatch.setattr(simulate, "generate_graph", no_simulation)
-    monkeypatch.setattr(simulate, "simulate_cascades", no_simulation)
+    monkeypatch.setattr(simulate, "generate_graph", fail)
+    monkeypatch.setattr(simulate, "simulate_cascades", fail)
+
+
+def test_validate_rejects_a_trf_horizon_below_1_before_simulating(truth_config, tmp_path,
+                                                                   no_simulation):
     out = tmp_path / "val"
     out.mkdir()
     assert main(["validate", "--config", str(truth_config), "--trf-horizon", "0",
                  "--out", str(out)]) == 1
     assert "trf_horizon must be an integer >= 1, got 0" in (out / "error.txt").read_text()
+
+
+def test_fit_rejects_a_trf_horizon_past_2_53(sim_dir, tmp_path):
+    out = tmp_path / "fit"
+    out.mkdir()
+    assert main(["fit", "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--trf-horizon", str(2**64),
+                 "--out", str(out)]) == 1
+    assert f"last delay edge {2**64} is past 2**53" in (out / "error.txt").read_text()
+
+
+def test_validate_rejects_a_trf_horizon_past_2_53_before_simulating(truth_config, tmp_path,
+                                                                    no_simulation):
+    out = tmp_path / "val"
+    out.mkdir()
+    assert main(["validate", "--config", str(truth_config), "--trf-horizon", str(2**64),
+                 "--out", str(out)]) == 1
+    assert f"trf_horizon {2**64} is past 2**53" in (out / "error.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["enhance", "forecast"])
+def test_a_model_with_a_delay_grid_past_2_53_is_rejected(command, sim_dir, fit_dir, tmp_path):
+    with open(fit_dir / "model.json") as fh:
+        doc = json.load(fh)
+    for key in ("t1", "t10", "t100"):
+        doc["trf"][key]["bin_edges"] = [2**k for k in range(66)]
+        doc["trf"][key]["density"] = [1.0] + [0.0] * 64
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--model", str(bad),
+                 "--out", str(out)]) == 1
+    assert f"last delay edge {2**65} is past 2**53" in (out / "error.txt").read_text()
+
+
+def test_forecast_rejects_an_obs_end_at_2_53(sim_dir, fit_dir, tmp_path, monkeypatch):
+    def no_windows(*args, **kwargs):
+        raise AssertionError("forecast windows tiled up to an obs_end of 2**53")
+
+    monkeypatch.setattr(forecast, "_window_probability", no_windows)
+    out = tmp_path / "fc"
+    out.mkdir()
+    assert main(["forecast", "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--site", "digg",
+                 "--model", str(fit_dir / "model.json"), "--obs-end", str(2**53),
+                 "--out", str(out)]) == 1
+    assert f"obs_end {2**53} is not below 2**53" in (out / "error.txt").read_text()
 
 
 def test_enhance_rejects_a_reversed_friend_count_band(sim_dir, fit_dir, tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import contagion
-from contagion.atrisk import hazard, risk_segments, visibility_segments
+from contagion.atrisk import risk_segments
 from contagion.errors import ContagionError
 from contagion.events import ExposureSeries
 from contagion.simulate import synthetic_trf
@@ -29,11 +29,9 @@ def test_trf_bundle_rejects_an_unknown_site():
 
 
 @pytest.mark.parametrize("call", [
-    lambda site: hazard(site, 0.5, 1e-6, lambda n_e: 1.0, 2, 0.3),
-    lambda site: visibility_segments([5, 9], 0.5, T1.density, T1.bin_edges, site, 0, 100),
     lambda site: risk_segments(SERIES, 0.5, T1.density, T1.bin_edges, site, 100),
     lambda site: interpolate_trf(T1, T10, T100, 10, site, 3.0),
-], ids=["hazard", "visibility_segments", "risk_segments", "interpolate_trf"])
+], ids=["risk_segments", "interpolate_trf"])
 def test_an_unknown_site_name_is_rejected(call):
     for site in ("digg", "twitter"):
         call(site)
