@@ -115,13 +115,6 @@ class ModelHazard:
             raw = self.p0 * self.factor(n_e) * nu + self.v_min
         return 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
 
-    def rate_at(self, n_f: int, exposures: Sequence[int], s: int) -> float:
-        """Hazard for second s."""
-        p, dens = self._for_nf(n_f)
-        n_e = bisect_right(exposures, s)  # exposures at or before s
-        nu = _nu(exposures, n_e, p, dens, self.edges[-1], self.first_driven, s) if n_e else 0.0
-        return self.hazard(n_e, nu)
-
     def runs(
         self, n_f: int, exposures: Sequence[int], t_from: int, t_to: int
     ) -> list[tuple[int, int, float]]:
@@ -166,16 +159,17 @@ def block_segments(
     p_dens: np.ndarray,
     rows: np.ndarray,
     edges,
-    site: str,
+    first_driven: bool,
     obs_end: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`risk_segments` of a block of series at once, as arrays.
 
     ``p_dens[r]`` holds ``p * density`` per delay bin of friend-count row r,
     then ``p * 0.0`` for delays outside the support; ``rows[i]`` is series
-    i's row. Returns (series index, length, n_e, nu, holds the response),
-    one entry per segment in (series, segment) order. Every nu is the same
-    float expression :func:`_nu` evaluates, so it is bit-identical.
+    i's row; ``first_driven`` is the site's resolved visibility rule.
+    Returns (series index, length, n_e, nu, holds the response), one entry
+    per segment in (series, segment) order. Every nu is the same float
+    expression :func:`_nu` evaluates, so it is bit-identical.
     """
     n = len(series)
     counts = np.fromiter((len(s.exposure_times) for s in series), np.int64, n)
@@ -193,7 +187,6 @@ def block_segments(
     # breakpoints as in visibility_segments, flagged 1 where an exposure arrives;
     # the first exposure is t_from, and points outside [t_from, t_to] drop out
     owner = np.repeat(np.arange(n), counts)
-    first_driven = SITES[site].first_driven
     # delay clocks start at the first exposure on a first-driven site, else at every one
     onset, onset_owner = (t_from, np.arange(n)) if first_driven else (times, owner)
     edge_arr = np.asarray(edges, dtype=np.int64)

@@ -8,6 +8,9 @@ An event log is JSON lines, one object per line:
 A follow-graph file is JSON lines of {"follower": str, "friend": str}; the
 follower receives what the friend posts, and a user's friend count is the
 number of users they follow (out-degree).
+
+An id is a JSON string, or an integer read as its decimal text; any other
+JSON value is an EventLogError that names the line.
 """
 
 from __future__ import annotations
@@ -64,10 +67,6 @@ class FollowerGraph:
             self._adjacency = dict(lists)
         return self._adjacency
 
-    def followers_of(self, user: str) -> list[str]:
-        """The users who follow ``user``, sorted (a copy)."""
-        return list(self.follower_lists().get(user, ()))
-
 
 @dataclass(frozen=True)
 class ExposureSeries:
@@ -93,13 +92,6 @@ class ExposureSeries:
             raise ContagionError("response precedes first exposure")
         if max(self.exposure_times[-1], self.response_time or 0) >= MAX_TIME:
             raise ContagionError("series times must lie below 2**53")
-
-    @property
-    def at_risk_exposures(self) -> tuple[int, ...]:
-        """Exposures at or before the response (all of them if no response)."""
-        if self.response_time is None:
-            return self.exposure_times
-        return tuple(t for t in self.exposure_times if t <= self.response_time)
 
 
 @dataclass
@@ -129,11 +121,22 @@ def _json_lines(path):
                 yield lineno, line
 
 
+def _id(value, name: str, lineno: int) -> str:
+    """A decoded JSON id as text: a string as it is, an integer in decimal."""
+    if type(value) is str:
+        return value
+    if type(value) is int:  # not bool, whose type is its own
+        return str(value)
+    raise EventLogError(f"{name} must be a string or an integer, got {value!r}", line=lineno)
+
+
 def _parse_line(line: str, lineno: int) -> Event:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise EventLogError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise EventLogError(f"invalid JSON: {exc}", line=lineno) from exc
     except RecursionError as exc:
         raise EventLogError("JSON nested too deeply", line=lineno) from exc
     if not isinstance(obj, dict):
@@ -142,8 +145,8 @@ def _parse_line(line: str, lineno: int) -> Event:
     if kind not in KINDS:
         raise EventLogError(f"unknown kind {kind!r}", line=lineno)
     try:
-        user = str(obj["user"])
-        item = str(obj["item"])
+        user = _id(obj["user"], "user", lineno)
+        item = _id(obj["item"], "item", lineno)
         raw_time = obj["time"]
     except KeyError as exc:
         raise EventLogError(f"missing field {exc.args[0]!r}", line=lineno) from exc
@@ -151,14 +154,14 @@ def _parse_line(line: str, lineno: int) -> Event:
         raise EventLogError(f"time must be numeric, got {raw_time!r}", line=lineno)
     if isinstance(raw_time, float) and not math.isfinite(raw_time):
         raise EventLogError(f"non-finite time {raw_time!r}", line=lineno)
-    time = int(raw_time)  # sub-second stamps truncate to whole seconds
-    if time < 0:
+    if raw_time < 0:
         raise EventLogError(f"negative time {raw_time!r}", line=lineno)
+    time = int(raw_time)  # sub-second stamps truncate to whole seconds
     if time >= MAX_TIME:
         raise EventLogError(f"time {raw_time!r} is not below 2**53", line=lineno)
     exposer = obj.get("exposer")
     if exposer is not None:
-        exposer = str(exposer)
+        exposer = _id(exposer, "exposer", lineno)
     try:  # a JSON escape can smuggle in a lone surrogate, which no file can hold
         (user + item + (exposer or "")).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -221,9 +224,10 @@ def load_follow_edges(path) -> list[tuple[str, str]]:
     for lineno, line in _json_lines(path):
         try:
             obj = json.loads(line)
-            edges.append((str(obj["follower"]), str(obj["friend"])))
-        except (json.JSONDecodeError, KeyError, RecursionError, TypeError) as exc:
+            follower, friend = obj["follower"], obj["friend"]
+        except (ValueError, KeyError, RecursionError, TypeError) as exc:  # ValueError: bad JSON
             raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
+        edges.append((_id(follower, "follower", lineno), _id(friend, "friend", lineno)))
     return edges
 
 

@@ -27,7 +27,7 @@ from .errors import BracketError, ContagionError, FitError
 from .events import MAX_TIME
 from .models import EnhancementTable
 from .simplex import nelder_mead
-from .visibility import TrfBundle
+from .visibility import SITES, TrfBundle
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +160,7 @@ def collect_visibility_bins(
     if obs_end >= MAX_TIME:
         raise ContagionError(f"obs_end {obs_end} is not below 2**53")
     edges = trf.bin_edges
+    first_driven = SITES[trf.site].first_driven
     nf_row: dict[int, int] = {}
     p_dens_rows: list[list[float]] = []  # p * density per delay bin, then p * 0.0
     slot_of: dict[tuple, int] = {}  # (n_e, bin key) -> cell, in order of first occurrence
@@ -174,7 +175,7 @@ def collect_visibility_bins(
                 p_dens_rows.append([p_nf * d for d in trf.densities_for(s.n_f)] + [p_nf * 0.0])
         rows = np.fromiter((nf_row[s.n_f] for s in block), np.int64, len(block))
         _, length, n_e, nu, holds = block_segments(
-            block, np.array(p_dens_rows), rows, edges, trf.site, obs_end
+            block, np.array(p_dens_rows), rows, edges, first_driven, obs_end
         )
         values, value_code = np.unique(nu, return_inverse=True)
         labels = values.tolist()

@@ -134,8 +134,8 @@ class EnhancementTable:
     """Multiplicative social-enhancement factor per exposure count.
 
     ``values[n_e]`` is F(n_e) with F(1) = 1 by convention. When ``saturates``
-    is set, counts beyond the largest entry reuse the last factor; otherwise
-    missing counts are an error (no extrapolation).
+    is set, counts beyond the largest entry reuse the last factor; any other
+    missing count is an error (no extrapolation, no filled gaps).
     """
 
     values: dict[int, float] = field(default_factory=lambda: {1: 1.0})
@@ -152,8 +152,9 @@ class EnhancementTable:
     def factor(self, n_e: int) -> float:
         if n_e in self.values:
             return self.values[n_e]
-        if self.saturates:
-            return self.values[max(self.values)]
+        last = max(self.values)
+        if self.saturates and n_e > last:
+            return self.values[last]
         raise ContagionError(f"no enhancement factor for exposure count {n_e}")
 
     def to_json_dict(self, cohort: str = "all") -> dict:

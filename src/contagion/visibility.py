@@ -295,10 +295,6 @@ class SusceptibilityCurve:
             raise ContagionError(f"form {self.form} needs finite constants {sorted(names)}, "
                                  f"got {self.params}")
 
-    def probability(self, n_f: int) -> float:
-        responses, trials = self.empirical[n_f]
-        return responses / trials
-
     def analytic(self, n_f: int) -> float:
         if self.form is None or not self.params:
             raise ContagionError("no fitted closed form on this curve")

@@ -45,6 +45,11 @@ def oracle(params: ModelParams, n_f: int, exposures, s: int) -> float:
     return digg_probability(params, n_f, exposures[0], n_e, s)
 
 
+def rate_at(hz: ModelHazard, n_f: int, exposures, s: int) -> float:
+    """The hazard at second s: the one run of the window [s, s + 1)."""
+    return hz.runs(n_f, exposures, s, s + 1)[0][2]
+
+
 def kernel_runs(params: ModelParams, n_f: int, exposures, t_from: int, t_to: int):
     p_nf = params.susceptibility.analytic(n_f)
     p = params.p0 * p_nf if params.site == "digg" else p_nf
@@ -109,7 +114,7 @@ def test_model_hazard_runs_and_rate_match_oracle(site, p0, n_f, exposures, t_fro
         for s in range(a, b):
             want = oracle(params, n_f, exposures, s)
             assert math.isclose(lam, want, rel_tol=1e-12), (s, lam, want)
-            assert math.isclose(hz.rate_at(n_f, exposures, s), want, rel_tol=1e-12)
+            assert math.isclose(rate_at(hz, n_f, exposures, s), want, rel_tol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,7 +157,7 @@ def arrivals(draw):
 def test_digg_arrival_rates_equal_rate_at(p0, n_f, arrival):
     exposures, t = arrival
     hz = _Hazard(make_params("digg", p0), horizon=10 * GRID)
-    want = (hz.rate_at(n_f, exposures, t), hz.rate_at(n_f, exposures + [t], t))
+    want = (rate_at(hz, n_f, exposures, t), rate_at(hz, n_f, exposures + [t], t))
     assert hz.arrival_rates(n_f, exposures, t) == want
 
 
@@ -165,7 +170,7 @@ def test_digg_arrival_rates_equal_rate_at(p0, n_f, arrival):
 def test_twitter_arrival_rates_equal_rate_at(p0, n_f, arrival):
     exposures, t = arrival
     hz = _Hazard(make_params("twitter", p0), horizon=10 * GRID)
-    want = (hz.rate_at(n_f, exposures, t), hz.rate_at(n_f, exposures + [t], t))
+    want = (rate_at(hz, n_f, exposures, t), rate_at(hz, n_f, exposures + [t], t))
     assert hz.arrival_rates(n_f, exposures, t) == want
 
 
@@ -180,7 +185,7 @@ def _hazard_calls(hz: _Hazard) -> list:
     exposures = [5, 9, 40]
     return [
         hz.runs(10, exposures, 0, 300),
-        [hz.rate_at(10, exposures, s) for s in (0, 5, 8, 9, 12, 40, 41, 100)],
+        [rate_at(hz, 10, exposures, s) for s in (0, 5, 8, 9, 12, 40, 41, 100)],
         hz.arrival_rates(10, exposures[:2], 40),
         [hz.sample(10, exposures, 10, np.random.default_rng(seed)) for seed in range(20)],
     ]
@@ -196,4 +201,4 @@ def test_no_site_lookup_after_construction(site, p0, monkeypatch):
     monkeypatch.setattr(atrisk, "SITES", _NoLookup())
     assert _hazard_calls(fresh) == want
     assert plain.runs(10, [5, 9, 40], 0, 300) == want[0]
-    assert plain.rate_at(10, [5, 9, 40], 41) == want[1][6]
+    assert rate_at(plain, 10, [5, 9, 40], 41) == want[1][6]

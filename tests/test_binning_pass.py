@@ -10,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contagion import inference
+from contagion import atrisk, inference
 from contagion.atrisk import risk_segments
 from contagion.binning import log_bin_center, log_bin_index
 from contagion.errors import ContagionError
@@ -22,7 +22,7 @@ from contagion.inference import (
     visibility_bins,
 )
 from contagion.simulate import synthetic_trf
-from contagion.visibility import TrfBundle
+from contagion.visibility import SITES, TrfBundle
 
 GRID = 64  # delays past the grid's support have zero density
 FRIEND_COUNTS = (1, 2, 10, 37, 100)
@@ -135,6 +135,24 @@ def test_many_blocks_with_repeating_friend_counts():
             want = scalar_bins(series, susceptibility, TRF[site], site, 150, exact=exact)
             got = collect_visibility_bins(series, susceptibility, TRF[site], 150, exact=exact)
             assert snapshot(got) == snapshot(want)
+
+
+@pytest.mark.parametrize("site", ["digg", "twitter"])
+def test_a_pass_resolves_its_site_once(site, monkeypatch):
+    lookups = []
+
+    class CountingSites(dict):
+        def __getitem__(self, name):
+            lookups.append(name)
+            return SITES[name]
+
+    for module in (atrisk, inference):
+        monkeypatch.setattr(module, "SITES", CountingSites(), raising=False)
+    series = make_series([(n_f, (5, 9), 30) for n_f in FRIEND_COUNTS])
+    with patch.object(inference, "BLOCK_SERIES", 2):
+        got = collect_visibility_bins(series, susceptibility, TRF[site], 100)
+    assert lookups == [site]
+    assert snapshot(got) == snapshot(scalar_bins(series, susceptibility, TRF[site], site, 100))
 
 
 def scalar_log_bins(raw):

@@ -62,6 +62,16 @@ def test_negative_time_errors_with_line_number(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_negative_fractional_time_errors_with_line_number(tmp_path):
+    path = tmp_path / "events.jsonl"
+    write_lines(path, [
+        {"kind": "post", "user": "a", "item": "x", "time": 1},
+        {"kind": "exposure", "user": "a", "item": "x", "time": -0.5, "exposer": "b"},
+    ])
+    with pytest.raises(EventLogError, match="line 2: negative time -0.5"):
+        load_event_log(path)
+
+
 @pytest.mark.parametrize("raw_time", ["NaN", "1e400"])
 def test_non_finite_time_errors_with_line_number(tmp_path, raw_time):
     path = tmp_path / "events.jsonl"
@@ -107,6 +117,20 @@ def test_malformed_json_names_line(tmp_path):
 
 
 @pytest.mark.parametrize("load", [load_event_log, load_follow_edges])
+def test_integer_past_the_digit_limit_errors_with_line_number(tmp_path, load):
+    path = tmp_path / "input.jsonl"
+    path.write_text(
+        '{"kind": "post", "user": "a", "item": "x", "time": 1, "follower": "a", "friend": "b"}\n'
+        f'{{"kind": "post", "user": {"1" * 5000}, "item": "x", "time": 2, '
+        f'"follower": {"1" * 5000}, "friend": "b"}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(EventLogError) as err:
+        load(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("load", [load_event_log, load_follow_edges])
 def test_undecodable_line_errors_with_line_number(tmp_path, load):
     path = tmp_path / "input.jsonl"
     path.write_bytes(
@@ -142,7 +166,7 @@ def test_build_graph_counts_out_degree():
     graph = build_graph([], [("a", "b"), ("a", "c")])
     assert graph.friend_count["a"] == 2
     assert graph.friend_count["b"] == 0
-    assert graph.followers_of("b") == ["a"]
+    assert graph.follower_lists().get("b", []) == ["a"]
 
 
 def test_build_graph_collapses_duplicate_edges():
@@ -229,7 +253,7 @@ def test_exposures_after_response_are_kept_but_off_risk():
     series = build_series(events, graph)
     s = series[0]
     assert s.exposure_times == (5, 15)
-    assert s.at_risk_exposures == (5,)
+    assert s.response_time == 9
 
 
 def test_exposure_ledger_balances(tmp_path):
@@ -268,8 +292,7 @@ def test_series_invariants_enforced():
         ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5, 5))
     with pytest.raises(ContagionError):
         ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5,), response_time=4)
-    s = ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5, 9), response_time=5)
-    assert len(s.at_risk_exposures) >= 1
+    ExposureSeries(user="a", item="x", n_f=1, exposure_times=(5, 9), response_time=5)
 
 
 def test_series_times_must_lie_below_2_pow_53():
@@ -288,3 +311,34 @@ def test_lone_surrogate_id_is_rejected_with_its_line(tmp_path, field):
     with pytest.raises(EventLogError) as err:
         load_event_log(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("user", None), ("item", [1]), ("exposer", True), ("user", False), ("item", 1.0),
+    ("exposer", {"id": "b"}),
+])
+def test_non_scalar_event_id_is_rejected_with_its_line(tmp_path, field, value):
+    row = {"kind": "exposure", "user": "a", "item": "x", "time": 1, "exposer": "b"}
+    row[field] = value
+    path = tmp_path / "events.jsonl"
+    write_lines(path, [{"kind": "post", "user": "b", "item": "x", "time": 0}, row])
+    with pytest.raises(EventLogError, match=f"line 2: {field} must be a string or an integer"):
+        load_event_log(path)
+
+
+@pytest.mark.parametrize("field, value", [("follower", None), ("friend", True), ("friend", [2])])
+def test_non_scalar_graph_id_is_rejected_with_its_line(tmp_path, field, value):
+    row = {"follower": "a", "friend": "b"}
+    row[field] = value
+    path = tmp_path / "graph.jsonl"
+    write_lines(path, [{"follower": "b", "friend": "a"}, row])
+    with pytest.raises(EventLogError, match=f"line 2: {field} must be a string or an integer"):
+        load_follow_edges(path)
+
+
+def test_integer_ids_load_as_their_decimal_text(tmp_path):
+    path = tmp_path / "events.jsonl"
+    write_lines(path, [{"kind": "exposure", "user": 7, "item": -3, "time": 1, "exposer": 12}])
+    assert load_event_log(path) == [Event("exposure", "7", "-3", 1, exposer="12")]
+    write_lines(path, [{"follower": 1, "friend": "2"}])
+    assert load_follow_edges(path) == [("1", "2")]

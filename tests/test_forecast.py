@@ -113,6 +113,13 @@ class TestForecastPoints:
         assert [pt.window_start for pt in points] == [0, 30, 60]
         assert [pt.responded for pt in points] == [False, False, True]
 
+    def test_a_model_with_a_gap_in_its_factors_is_rejected(self):
+        doc = flat_params(sus=0.5, f_values={1: 1.0, 4: 3.0}).to_json_dict()
+        params = ModelParams.from_json_dict(doc)
+        assert len(forecast_points(params, [series([0, 100])], window=30, obs_end=60)) == 3
+        with pytest.raises(ContagionError, match="no enhancement factor for exposure count 2"):
+            forecast_points(params, [series([0, 100])], window=30, obs_end=90)
+
     def test_stride_and_horizon_controls(self):
         params = flat_params(sus=0.5)
         s = series([0])

@@ -256,6 +256,14 @@ def test_enhancement_table_lookup_modes():
     assert saturating.factor(9) == 1.5
 
 
+def test_a_saturating_table_fills_no_gap():
+    table = EnhancementTable({1: 1.0, 3: 2.5}, saturates=True)
+    assert (table.factor(3), table.factor(4), table.factor(9)) == (2.5, 2.5, 2.5)
+    for n_e in (0, 2):
+        with pytest.raises(ContagionError, match=f"exposure count {n_e}"):
+            table.factor(n_e)
+
+
 def test_enhancement_table_json_round_trip():
     table = EnhancementTable(values={1: 1.0, 2: 1.5, 3: 1.8}, saturates=True)
     clone = EnhancementTable.from_json_dict(table.to_json_dict())

