@@ -25,7 +25,7 @@ from .events import (
     write_event_log,
     write_follow_edges,
 )
-from .forecast import ForecastPoint, calibration, forecast_points
+from .forecast import DEFAULT_WINDOW, ForecastPoint, calibration, forecast_points
 from .inference import (
     fit_enhancement,
     fit_enhancement_by_cohort,
@@ -42,7 +42,7 @@ from .simulate import (
     simulate_cascades,
     train_test_split,
 )
-from .visibility import SITES
+from .visibility import SITES, WEEK
 # unused here: perfbench's tracer wraps them in this module too (tests/test_trace_targets.py)
 from .visibility import estimate_susceptibility, estimate_trf, fit_susceptibility_analytic  # noqa: F401
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="estimate all model parameters from an event log")
     add_io(p)
     p.set_defaults(split="train")
-    p.add_argument("--trf-horizon", type=int, default=7 * 86400)
+    p.add_argument("--trf-horizon", type=int, default=WEEK)
     p.add_argument("--min-fit-responses", type=int, default=30)
     p.set_defaults(func=cmd_fit)
 
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="windowed forecasts plus calibration")
     add_io(p, need_model=True)
     p.set_defaults(split="test")
-    p.add_argument("--window", type=int, default=30)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--eval-horizon", type=int, default=None)
     p.add_argument("--ablate-enhancement", action="store_true")
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibration curve from a forecasts CSV")
     p.add_argument("--forecasts", required=True)
-    p.add_argument("--window", type=int, default=30)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 

@@ -227,7 +227,10 @@ def load_follow_edges(path) -> list[tuple[str, str]]:
             follower, friend = obj["follower"], obj["friend"]
         except (ValueError, KeyError, RecursionError, TypeError) as exc:  # ValueError: bad JSON
             raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
-        edges.append((_id(follower, "follower", lineno), _id(friend, "friend", lineno)))
+        follower, friend = _id(follower, "follower", lineno), _id(friend, "friend", lineno)
+        if follower == friend:
+            raise EventLogError(f"self-edge not allowed: {follower!r}", line=lineno)
+        edges.append((follower, friend))
     return edges
 
 

@@ -13,6 +13,10 @@ from .inference import MIN_TRIALS, CalibrationCurve, CalibrationPoint, wmap_erro
 from .models import ModelParams
 
 DEFAULT_WINDOW = 30
+# Most windows one forecast_points call may tile: about 15x criterion 6's
+# 1.14M. tracemalloc counts 190-250 B per ForecastPoint (CPython 3.11), so
+# this many points take 3-4 GB.
+MAX_WINDOWS = 2**24
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,14 @@ def forecast_window(
     window take effect from their arrival second. The series must still be
     at risk at t.
     """
-    return _window_probability(ModelHazard(params), series, t, window)
-
-
-def _window_probability(hz: ModelHazard, series: ExposureSeries, t: int, window: int) -> float:
     if window <= 0:
         raise ContagionError("forecast window must be positive")
     if series.response_time is not None and series.response_time < t:
         raise ContagionError("series already responded before the window")
+    return _window_probability(ModelHazard(params), series, t, window)
+
+
+def _window_probability(hz: ModelHazard, series: ExposureSeries, t: int, window: int) -> float:
     log_survive = 0.0
     for a, b, lam in hz.runs(series.n_f, series.exposure_times, t, t + window):
         if lam >= 1.0:
@@ -65,54 +69,58 @@ def _window_probability(hz: ModelHazard, series: ExposureSeries, t: int, window:
 def forecast_points(
     params: ModelParams,
     series_list,
+    *,
+    obs_end: int,
     window: int = DEFAULT_WINDOW,
     stride: int | None = None,
     eval_horizon: int | None = None,
-    obs_end: int | None = None,
 ) -> list[ForecastPoint]:
     """Tile each at-risk series with forecast windows and record outcomes.
 
-    Windows are disjoint by default (stride = window). Evaluation stops at
-    the window containing the response, at ``eval_horizon`` seconds past the
-    first exposure, or at ``obs_end``, whichever comes first. When neither
-    bound is given, ``obs_end`` is the last exposure or response time in
-    ``series_list``.
+    Windows are disjoint by default (stride = window). Window starts run
+    from the first exposure up to the response, ``eval_horizon`` seconds
+    past the first exposure, or ``obs_end``, whichever comes first; the
+    window containing the response is the last. More than ``MAX_WINDOWS``
+    windows in all raise ContagionError before any is computed.
     """
+    if window <= 0:
+        raise ContagionError("forecast window must be positive")
     if stride is None:
         stride = window
     if stride <= 0:
         raise ContagionError("stride must be positive")
-    if eval_horizon is None and obs_end is None:
-        series_list = list(series_list)
-        obs_end = max((max(s.exposure_times[-1], s.response_time or 0) for s in series_list),
-                      default=0)
-    if obs_end is not None and obs_end >= MAX_TIME:
+    if obs_end >= MAX_TIME:
         raise ContagionError(f"obs_end {obs_end} is not below 2**53")
+    tilings = []
+    for s in series_list:
+        t1, r = s.exposure_times[0], s.response_time
+        limit = obs_end if eval_horizon is None else min(obs_end, t1 + eval_horizon)
+        if r is not None:
+            limit = min(limit, r)
+        tilings.append((s, range(t1, limit + 1, stride)))
+    n_windows = sum(len(starts) for _, starts in tilings)
+    if n_windows > MAX_WINDOWS:
+        raise ContagionError(
+            f"forecasting would tile {n_windows} windows, more than {MAX_WINDOWS}; "
+            "set eval_horizon (--eval-horizon) or an earlier obs_end (--obs-end)")
     hz = ModelHazard(params)
     out: list[ForecastPoint] = []
-    for s in series_list:
-        t = s.exposure_times[0]
-        limit = math.inf if obs_end is None else obs_end
-        if eval_horizon is not None:
-            limit = min(limit, t + eval_horizon)
-        while t <= limit:
-            if s.response_time is not None and s.response_time < t:
-                break
-            predicted = _window_probability(hz, s, t, window)
-            responded = s.response_time is not None and t <= s.response_time < t + window
+    for s, starts in tilings:
+        r = s.response_time
+        for t in starts:
+            responded = r is not None and r < t + window
             out.append(
                 ForecastPoint(
                     user=s.user,
                     item=s.item,
                     window_start=t,
                     window_len=window,
-                    predicted=predicted,
+                    predicted=_window_probability(hz, s, t, window),
                     responded=responded,
                 )
             )
             if responded:
                 break
-            t += stride
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ContagionError
-from .visibility import SITES, SusceptibilityCurve, TrfBundle, json_number
+from .visibility import SITES, SusceptibilityCurve, TrfBundle, json_int_key, json_number
 
 EXACT_GUARD = 20  # subset enumeration is O(2^n); refuse beyond this
 
@@ -169,7 +169,8 @@ class EnhancementTable:
         saturates = obj.get("saturates", False)
         if not isinstance(saturates, bool):
             raise ContagionError(f"saturates must be true or false, got {saturates!r}")
-        values = {int(k): float(json_number(v, f"F({k})")) for k, v in obj["F"].items()}
+        values = {json_int_key(k, "F"): float(json_number(v, f"F({k})"))
+                  for k, v in obj["F"].items()}
         return cls(values=values, saturates=saturates)
 
 

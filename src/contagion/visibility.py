@@ -49,6 +49,21 @@ def json_number(value, name: str):
     return value
 
 
+def json_int_key(key: str, name: str) -> int:
+    """``int(key)`` if ``key`` is exactly ``str(int(key))``; else ContagionError.
+
+    ``int`` alone would also read "02", "+2" and "2_0", so distinct keys could
+    collapse onto one integer.
+    """
+    try:
+        value = int(key)
+    except ValueError:
+        value = None
+    if value is None or str(value) != key:
+        raise ContagionError(f"{name} key {key!r} is not a plain decimal integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Site:
     """One site's interface rules; every per-site difference follows from these two."""
@@ -316,7 +331,7 @@ class SusceptibilityCurve:
             if not (all(isinstance(c, int) or c.is_integer() for c in counts) and 0 <= r <= n):
                 raise ContagionError(f"empirical counts {[r, n]} at n_f {k} are not integers "
                                      "with 0 <= responses <= trials")
-            empirical[int(k)] = (int(r), int(n))
+            empirical[json_int_key(k, "empirical")] = (int(r), int(n))
         return cls(
             empirical=empirical,
             form=SusceptibilityForm(form) if form else None,

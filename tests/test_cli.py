@@ -639,6 +639,32 @@ def test_forecast_rejects_an_obs_end_at_2_53(sim_dir, fit_dir, tmp_path, monkeyp
     assert f"obs_end {2**53} is not below 2**53" in (out / "error.txt").read_text()
 
 
+def test_forecast_rejects_a_tiling_past_max_windows(sim_dir, fit_dir, tmp_path, monkeypatch):
+    def no_windows(*args, **kwargs):
+        raise AssertionError("forecast windows tiled up to an obs_end of 2**53 - 1")
+
+    monkeypatch.setattr(forecast, "_window_probability", no_windows)
+    out = tmp_path / "fc"
+    out.mkdir()
+    assert main(["forecast", "--events", str(sim_dir / "events.jsonl"),
+                 "--graph", str(sim_dir / "graph.jsonl"), "--site", "digg",
+                 "--model", str(fit_dir / "model.json"), "--obs-end", str(2**53 - 1),
+                 "--out", str(out)]) == 1
+    error = (out / "error.txt").read_text()
+    assert f"more than {forecast.MAX_WINDOWS}" in error
+    assert "--eval-horizon" in error and "--obs-end" in error
+
+
+def test_fit_rejects_a_graph_self_edge_with_its_line(sim_dir, tmp_path):
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text('{"follower": "a", "friend": "b"}\n{"follower": "c", "friend": "c"}\n')
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["fit", "--events", str(sim_dir / "events.jsonl"), "--graph", str(graph),
+                 "--out", str(out)]) == 1
+    assert "line 2: self-edge not allowed: 'c'" in (out / "error.txt").read_text()
+
+
 def test_enhance_rejects_a_reversed_friend_count_band(sim_dir, fit_dir, tmp_path):
     for cohorts, expected in [("1-2,9-3", "friend-count band '9-3' is reversed"),
                               ("3-", "friend-count band '3-' is not N or N-M")]:

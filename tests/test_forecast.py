@@ -1,12 +1,17 @@
 import math
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion.errors import ContagionError
 from contagion.events import ExposureSeries
-from contagion.forecast import ForecastPoint, calibration, forecast_points, forecast_window
+from contagion.forecast import (
+    MAX_WINDOWS, ForecastPoint, calibration, forecast_points, forecast_window,
+)
 from contagion.inference import wmap_error
 from contagion.models import EnhancementTable, ModelParams, digg_probability
 from contagion.simulate import synthetic_trf
@@ -35,6 +40,21 @@ def flat_params(sus=0.5, p0=1.0, log_v_min=-math.inf, horizon=64, f_values=None)
 def series(times, response=None, n_f=1):
     return ExposureSeries(user="u", item="x", n_f=n_f,
                           exposure_times=tuple(times), response_time=response)
+
+
+@contextmanager
+def returns_within(seconds):
+    """Turn a hang into a failure: unbounded tiling never returns."""
+    def give_up(signum, frame):
+        raise TimeoutError("forecast_points did not return")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestForecastWindow:
@@ -109,7 +129,7 @@ class TestForecastPoints:
     def test_windows_tile_until_response(self):
         params = flat_params(sus=0.5)
         s = series([0], response=70)
-        points = forecast_points(params, [s], window=30)
+        points = forecast_points(params, [s], window=30, obs_end=70)
         assert [pt.window_start for pt in points] == [0, 30, 60]
         assert [pt.responded for pt in points] == [False, False, True]
 
@@ -123,23 +143,71 @@ class TestForecastPoints:
     def test_stride_and_horizon_controls(self):
         params = flat_params(sus=0.5)
         s = series([0])
-        points = forecast_points(params, [s], window=30, stride=15, eval_horizon=60)
+        points = forecast_points(params, [s], window=30, stride=15, eval_horizon=60,
+                                 obs_end=1000)
         assert [pt.window_start for pt in points] == [0, 15, 30, 45, 60]
 
     def test_defaults_stop_at_the_last_event_time(self):
-        # Unbounded tiling never returns; the timer turns a hang into a failure.
-        def give_up(signum, frame):
-            raise TimeoutError("forecast_points did not return")
-
-        previous = signal.signal(signal.SIGALRM, give_up)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
-            points = forecast_points(flat_params(sus=0.5), [series([5]), series([0], response=70)])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        # the never-responding series stops at the other series' response, 70
+        with returns_within(2.0):
+            points = forecast_points(flat_params(sus=0.5), [series([5]), series([0], response=70)],
+                                     obs_end=70)
+        # the never-responding series stops at obs_end, the last event time
         assert [pt.window_start for pt in points] == [5, 35, 65, 0, 30, 60]
+
+    def test_a_tiling_past_max_windows_is_rejected_before_it_starts(self):
+        # without eval_horizon, a never-responding series would need ~3e14 windows
+        with returns_within(2.0), pytest.raises(ContagionError, match=f"more than {MAX_WINDOWS}"):
+            forecast_points(flat_params(sus=0.5), [series([0])], obs_end=2**53 - 1)
+
+
+def loop_tiling(series_list, window, stride, eval_horizon, obs_end):
+    """(series, window_start, responded) as a per-window loop tiles them, one step at a time."""
+    out = []
+    for s in series_list:
+        t = s.exposure_times[0]
+        limit = obs_end if eval_horizon is None else min(obs_end, t + eval_horizon)
+        while t <= limit:
+            if s.response_time is not None and s.response_time < t:
+                break
+            responded = s.response_time is not None and t <= s.response_time < t + window
+            out.append((s, t, responded))
+            if responded:
+                break
+            t += stride
+    return out
+
+
+@st.composite
+def tiled_series(draw):
+    first = draw(st.integers(0, 200))
+    later = draw(st.lists(st.integers(1, 300), max_size=3, unique=True))
+    times = [first] + sorted(first + d for d in later)
+    # missing, at an exposure, in a gap between windows, or past obs_end
+    response = draw(st.none() | st.integers(first, first + 700))
+    return ExposureSeries(user=f"u{draw(st.integers(0, 10**6))}", item="x",
+                          n_f=draw(st.integers(1, 3)), exposure_times=tuple(times),
+                          response_time=response)
+
+
+TILING_PARAMS = flat_params(sus=0.7, log_v_min=-9.0, f_values={1: 1.0, 2: 1.5, 3: 1.8})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    series_list=st.lists(tiled_series(), min_size=1, max_size=3),
+    window=st.integers(1, 60),
+    stride=st.integers(1, 90),
+    eval_horizon=st.none() | st.integers(0, 300),
+    obs_end=st.integers(-50, 800),
+)
+def test_tiling_matches_a_per_window_loop(series_list, window, stride, eval_horizon, obs_end):
+    points = forecast_points(TILING_PARAMS, series_list, window=window, stride=stride,
+                             eval_horizon=eval_horizon, obs_end=obs_end)
+    expected = loop_tiling(series_list, window, stride, eval_horizon, obs_end)
+    assert [(pt.window_start, pt.responded) for pt in points] == [(t, r) for _, t, r in expected]
+    for pt, (s, t, _) in zip(points, expected):
+        assert (pt.user, pt.item) == (s.user, s.item)
+        assert pt.predicted == forecast_window(TILING_PARAMS, s, t, window)
 
 
 class TestCalibration:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,13 @@ def test_a_saturating_table_fills_no_gap():
     for n_e in (0, 2):
         with pytest.raises(ContagionError, match=f"exposure count {n_e}"):
             table.factor(n_e)
+
+
+@pytest.mark.parametrize("key", ["02", "2_0", "+2", " 2", "x"])
+def test_enhancement_keys_must_be_plain_decimal_integers(key):
+    # int() alone reads "02" as 2, so it would overwrite F(2) without a word
+    with pytest.raises(ContagionError, match=re.escape(f"F key {key!r}")):
+        EnhancementTable.from_json_dict({"F": {"1": 1.0, "2": 1.5, key: 9.0}})
 
 
 def test_enhancement_table_json_round_trip():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -230,6 +231,13 @@ class TestSusceptibility:
         assert clone.form == curve.form
         assert clone.params == pytest.approx(curve.params)
         assert clone.analytic(10) == pytest.approx(curve.analytic(10))
+
+
+@pytest.mark.parametrize("key", ["05", "1_0", "+5", "x"])
+def test_empirical_keys_must_be_plain_decimal_integers(key):
+    doc = {"empirical": {"5": [1, 10], key: [9, 10]}}
+    with pytest.raises(ContagionError, match=re.escape(f"empirical key {key!r}")):
+        SusceptibilityCurve.from_json_dict(doc)
 
 
 def test_standard_cohorts():
