@@ -12,10 +12,15 @@ and its multiplier p are in :data:`visibility.SITES`. :class:`ModelHazard`
 resolves a model's site once and owns its hazard form, for the simulator and
 forecasting; the per-run code below it takes the resolved rule, not a name.
 
-Visibility binning does not loop over :func:`risk_segments` series by
-series: :func:`block_segments` computes the same segments for a block of
-series in one numpy pass, with bit-identical (n_e, nu). The scalar
-functions stay as its reference.
+Visibility binning and forecasting do not loop over the scalar functions
+series by series: :func:`block_segments` computes the same segments for a
+block of series in one numpy pass, each series up to its own end, with
+bit-identical (n_e, nu). Binning ends a series after its response or at
+``obs_end``; forecasting ends it with its last window and clips each
+window's first and last segment to the window, without cutting segments at
+window bounds: with overlapping windows a cut would split one run's
+``length * log1p(-lam)`` into two rounded terms. The scalar functions stay
+as the reference.
 """
 
 from __future__ import annotations
@@ -105,15 +110,25 @@ class ModelHazard:
             hit = self._nf[n_f] = (float(p), self.params.trf.densities_for(n_f))
         return hit
 
+    def p_dens(self, n_f: int) -> list[float]:
+        """:func:`p_dens_row` of friend count n_f under this model's p rule."""
+        return p_dens_row(*self._for_nf(n_f))
+
+    def _raw(self, f, nu):
+        """Unclamped hazard at f = F(n_e), n_e >= 1; floats or numpy arrays, in one float order."""
+        if self.first_driven:
+            return f * (nu + self.v_min)
+        return self.p0 * f * nu + self.v_min
+
     def hazard(self, n_e: int, nu: float) -> float:
         """Clamped per-second response probability for (n_e, nu); at n_e == 0 only the floor."""
-        if n_e == 0:
-            raw = self.v_min
-        elif self.first_driven:
-            raw = self.factor(n_e) * (nu + self.v_min)
-        else:
-            raw = self.p0 * self.factor(n_e) * nu + self.v_min
+        raw = self._raw(self.factor(n_e), nu) if n_e else self.v_min
         return 0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw
+
+    def hazards(self, f: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """:meth:`hazard` elementwise, given f = F(n_e) of each n_e >= 1: the same doubles."""
+        raw = self._raw(f, nu)
+        return np.where(raw < 0.0, 0.0, np.where(raw > 1.0, 1.0, raw))
 
     def runs(
         self, n_f: int, exposures: Sequence[int], t_from: int, t_to: int
@@ -154,22 +169,30 @@ def _delay_bins(dt: np.ndarray, n_bins: int) -> np.ndarray:
     return np.where(inside, bits - 1, n_bins)
 
 
+def p_dens_row(p: float, dens) -> list[float]:
+    """``p * density`` per delay bin, then ``p * 0.0`` past the support: one row of
+    :func:`block_segments`' ``p_dens``, the products :func:`_nu` forms."""
+    return [p * d for d in dens] + [p * 0.0]
+
+
 def block_segments(
     series: Sequence[ExposureSeries],
     p_dens: np.ndarray,
     rows: np.ndarray,
     edges,
     first_driven: bool,
-    obs_end: int,
+    t_to: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`risk_segments` of a block of series at once, as arrays.
+    """:func:`visibility_segments` of a block of series at once, as arrays.
 
-    ``p_dens[r]`` holds ``p * density`` per delay bin of friend-count row r,
-    then ``p * 0.0`` for delays outside the support; ``rows[i]`` is series
-    i's row; ``first_driven`` is the site's resolved visibility rule.
-    Returns (series index, length, n_e, nu, holds the response), one entry
-    per segment in (series, segment) order. Every nu is the same float
-    expression :func:`_nu` evaluates, so it is bit-identical.
+    Series i is segmented over [its first exposure, ``t_to[i]``), so
+    ``t_to = min(response, obs_end) + 1`` gives :func:`risk_segments`.
+    ``p_dens[r]`` is the :func:`p_dens_row` of friend-count row r;
+    ``rows[i]`` is series i's row; ``first_driven`` is the site's resolved
+    visibility rule.
+    Returns (series index, start, length, n_e, nu), one entry per segment
+    in (series, segment) order. Every nu is the same float expression
+    :func:`_nu` evaluates, so it is bit-identical.
     """
     n = len(series)
     counts = np.fromiter((len(s.exposure_times) for s in series), np.int64, n)
@@ -178,28 +201,27 @@ def block_segments(
     )
     first = np.cumsum(counts) - counts
     t_from = times[first]
-    response = np.fromiter(
-        (obs_end + 1 if s.response_time is None else s.response_time for s in series), np.int64, n
-    )
-    responded = response <= obs_end
-    t_to = np.minimum(response, obs_end) + 1
 
-    # breakpoints as in visibility_segments, flagged 1 where an exposure arrives;
-    # the first exposure is t_from, and points outside [t_from, t_to] drop out
+    # breakpoints as in visibility_segments, each as tie = 2 * second + 1, less 1
+    # where an exposure arrives; the first exposure is t_from, and points outside
+    # [t_from, t_to] drop out
     owner = np.repeat(np.arange(n), counts)
     # delay clocks start at the first exposure on a first-driven site, else at every one
     onset, onset_owner = (t_from, np.arange(n)) if first_driven else (times, owner)
     edge_arr = np.asarray(edges, dtype=np.int64)
     point = np.concatenate((t_to, times, (onset[:, None] + edge_arr).ravel()))
     sid = np.concatenate((np.arange(n), owner, np.repeat(onset_owner, len(edges))))
-    arrives = np.zeros(len(point), dtype=np.int64)
-    arrives[n : n + len(times)] = 1
+    tie = 2 * point + 1
+    tie[n : n + len(times)] -= 1
     lo, hi = t_from[sid], t_to[sid]
     keep = (lo < hi) & (lo <= point) & (point <= hi)
-    point, sid, arrives = point[keep], sid[keep], arrives[keep]
+    # sort by (series, tie) on one int64 key, the series above the tie's rank:
+    # np.lexsort on the pair is several times slower
+    tie_value, tie_rank = np.unique(tie[keep], return_inverse=True)
+    key = np.sort(sid[keep] * len(tie_value) + tie_rank)
+    sid, tie = key // len(tie_value), tie_value[key % len(tie_value)]
+    point, arrives = tie >> 1, 1 - (tie & 1)
     # an arrival that is also an onset-plus-edge second sorts first and is kept
-    order = np.lexsort((-arrives, point, sid))
-    point, sid, arrives = point[order], sid[order], arrives[order]
     new = np.ones(len(point), dtype=bool)
     new[1:] = (sid[1:] != sid[:-1]) | (point[1:] != point[:-1])
     point, sid, arrives = point[new], sid[new], arrives[new]
@@ -215,10 +237,6 @@ def block_segments(
     seg_sid = sid[:-1][is_seg]
     length = point[1:][is_seg] - start
     n_e = n_e_at[:-1][is_seg]
-    # the response second lies in its series' last segment
-    last_point = np.ones(len(point), dtype=bool)
-    last_point[:-1] = ~is_seg
-    holds = responded[seg_sid] & last_point[1:][is_seg]
 
     n_bins = len(edges) - 1
     seg_row = rows[seg_sid]
@@ -233,4 +251,4 @@ def block_segments(
             te = times[first[seg_sid[live]] + j]
             prod[live] *= 1.0 - p_dens[seg_row[live], _delay_bins(start[live] - te, n_bins)]
         nu = 1.0 - prod
-    return seg_sid, length, n_e, nu, holds
+    return seg_sid, start, length, n_e, nu

@@ -21,7 +21,7 @@ import numpy as np
 
 # risk_segments is the scalar reference for block_segments (and the name
 # perfbench's segment counter wraps), kept importable from here
-from .atrisk import block_segments, risk_segments  # noqa: F401
+from .atrisk import block_segments, p_dens_row, risk_segments  # noqa: F401
 from .binning import FLOOR_BIN, log_bin_center, log_bin_index
 from .errors import BracketError, ContagionError, FitError
 from .events import MAX_TIME
@@ -162,7 +162,7 @@ def collect_visibility_bins(
     edges = trf.bin_edges
     first_driven = SITES[trf.site].first_driven
     nf_row: dict[int, int] = {}
-    p_dens_rows: list[list[float]] = []  # p * density per delay bin, then p * 0.0
+    p_dens_rows: list[list[float]] = []  # the p_dens_row of each friend count
     slot_of: dict[tuple, int] = {}  # (n_e, bin key) -> cell, in order of first occurrence
     counts = np.zeros((0, 2), dtype=np.int64)  # trials, responses per cell
     sum_nu = np.zeros(0)
@@ -172,11 +172,18 @@ def collect_visibility_bins(
             if s.n_f not in nf_row:
                 p_nf = susceptibility(s.n_f)
                 nf_row[s.n_f] = len(p_dens_rows)
-                p_dens_rows.append([p_nf * d for d in trf.densities_for(s.n_f)] + [p_nf * 0.0])
+                p_dens_rows.append(p_dens_row(p_nf, trf.densities_for(s.n_f)))
         rows = np.fromiter((nf_row[s.n_f] for s in block), np.int64, len(block))
-        _, length, n_e, nu, holds = block_segments(
-            block, np.array(p_dens_rows), rows, edges, first_driven, obs_end
+        response = np.fromiter(
+            (obs_end + 1 if s.response_time is None else s.response_time for s in block),
+            np.int64, len(block),
         )
+        t_to = np.minimum(response, obs_end) + 1
+        sid, start, length, n_e, nu = block_segments(
+            block, np.array(p_dens_rows), rows, edges, first_driven, t_to
+        )
+        # the response second is the last second of its series' last segment
+        holds = (response <= obs_end)[sid] & (start + length == t_to[sid])
         values, value_code = np.unique(nu, return_inverse=True)
         labels = values.tolist()
         if not exact:  # log_bin_index itself: np.log10 may differ by one ulp

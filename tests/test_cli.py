@@ -344,6 +344,27 @@ def test_pipeline_outputs_are_pinned(sim_dir, fit_dir, tmp_path):
     assert got == PINNED
 
 
+# SHA-256 of the twitter forecasts.csv above at --stride 7, where windows overlap
+# and one exposure's runs fall in several windows at once.
+PINNED_OVERLAPPING = "5f88b2adb628666d4903a67b4cffc9951f750a9630c27ca355ed98848cad95ad"
+
+
+def test_overlapping_window_forecasts_are_pinned(tmp_path):
+    dirs = {name: tmp_path / name for name in ("sim", "fit", "fc")}
+    for path in dirs.values():
+        path.mkdir()
+    _twitter_truth_config(tmp_path / "truth.json")
+    inputs = ["--events", str(dirs["sim"] / "events.jsonl"),
+              "--graph", str(dirs["sim"] / "graph.jsonl"), "--site", "twitter"]
+    assert main(["simulate", "--config", str(tmp_path / "truth.json"),
+                 "--out", str(dirs["sim"])]) == 0
+    assert main(["fit", *inputs, "--trf-horizon", "1024", "--min-fit-responses", "5",
+                 "--out", str(dirs["fit"])]) == 0
+    assert main(["forecast", *inputs, "--model", str(dirs["fit"] / "model.json"),
+                 "--stride", "7", "--eval-horizon", "300", "--out", str(dirs["fc"])]) == 0
+    assert sha(dirs["fc"] / "forecasts.csv") == PINNED_OVERLAPPING
+
+
 def _failing_argv(case, sim_dir, fit_dir, tmp_path):
     io = ["--graph", str(sim_dir / "graph.jsonl"), "--site", "digg"]
     events = ["--events", str(sim_dir / "events.jsonl")]
@@ -629,7 +650,7 @@ def test_forecast_rejects_an_obs_end_at_2_53(sim_dir, fit_dir, tmp_path, monkeyp
     def no_windows(*args, **kwargs):
         raise AssertionError("forecast windows tiled up to an obs_end of 2**53")
 
-    monkeypatch.setattr(forecast, "_window_probability", no_windows)
+    monkeypatch.setattr(forecast, "_block_probabilities", no_windows)
     out = tmp_path / "fc"
     out.mkdir()
     assert main(["forecast", "--events", str(sim_dir / "events.jsonl"),
@@ -643,7 +664,7 @@ def test_forecast_rejects_a_tiling_past_max_windows(sim_dir, fit_dir, tmp_path, 
     def no_windows(*args, **kwargs):
         raise AssertionError("forecast windows tiled up to an obs_end of 2**53 - 1")
 
-    monkeypatch.setattr(forecast, "_window_probability", no_windows)
+    monkeypatch.setattr(forecast, "_block_probabilities", no_windows)
     out = tmp_path / "fc"
     out.mkdir()
     assert main(["forecast", "--events", str(sim_dir / "events.jsonl"),

@@ -1,12 +1,14 @@
 import math
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contagion import forecast
 from contagion.errors import ContagionError
 from contagion.events import ExposureSeries
 from contagion.forecast import (
@@ -159,6 +161,12 @@ class TestForecastPoints:
         with returns_within(2.0), pytest.raises(ContagionError, match=f"more than {MAX_WINDOWS}"):
             forecast_points(flat_params(sus=0.5), [series([0])], obs_end=2**53 - 1)
 
+    def test_a_window_at_2_53_is_rejected(self):
+        with pytest.raises(ContagionError, match="window 9007199254740992 is not below 2"):
+            forecast_points(flat_params(sus=0.5), [series([0])], window=2**53, obs_end=10)
+        assert len(forecast_points(flat_params(sus=0.5), [series([0])], window=2**53 - 1,
+                                   obs_end=10)) == 1
+
 
 def loop_tiling(series_list, window, stride, eval_horizon, obs_end):
     """(series, window_start, responded) as a per-window loop tiles them, one step at a time."""
@@ -208,6 +216,64 @@ def test_tiling_matches_a_per_window_loop(series_list, window, stride, eval_hori
     for pt, (s, t, _) in zip(points, expected):
         assert (pt.user, pt.item) == (s.user, s.item)
         assert pt.predicted == forecast_window(TILING_PARAMS, s, t, window)
+
+
+@st.composite
+def kernel_models(draw):
+    site = draw(st.sampled_from(["digg", "twitter"]))  # first exposure vs all-exposure visibility
+    horizon = draw(st.sampled_from([16, 64]))  # 16: windows run past the delay support
+    gamma = draw(st.sampled_from([0.0, 1.2]))
+    trf = TrfBundle(t1=synthetic_trf("T1", horizon, gamma=gamma),
+                    t10=synthetic_trf("T10", horizon, gamma=gamma + 0.3),
+                    t100=synthetic_trf("T100", horizon, gamma=gamma + 0.6), site=site)
+    f2 = draw(st.sampled_from([1.5, 400.0]))  # 400 drives lam >= 1 on either site
+    return ModelParams(
+        site=site,
+        p0=draw(st.sampled_from([0.3, 1.0, 7.0])),
+        log_v_min=draw(st.sampled_from([-math.inf, -9.0])),  # -inf: lam == 0 past the support
+        enhancement=EnhancementTable(values={1: 1.0, 2: f2, 3: 1.8}, saturates=True),
+        susceptibility=SusceptibilityCurve(
+            form=SusceptibilityForm.TWITTER,
+            params={"A": draw(st.sampled_from([0.05, 0.6])), "P": 1.0, "B": 0.0},
+        ),
+        trf=trf,
+    )
+
+
+@st.composite
+def bursty_series(draw):
+    first = draw(st.integers(0, 100))
+    # up to 12 exposures inside one window's span give windows of 9 or more runs
+    burst = draw(st.lists(st.integers(1, 40), max_size=12, unique=True))
+    later = draw(st.lists(st.integers(41, 400), max_size=3, unique=True))
+    times = [first] + sorted(first + d for d in burst + later)
+    return ExposureSeries(user=f"u{draw(st.integers(0, 10**6))}", item="x",
+                          n_f=draw(st.sampled_from([1, 2, 12, 150])),
+                          exposure_times=tuple(times),
+                          response_time=draw(st.none() | st.integers(first, first + 500)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=kernel_models(),
+    series_list=st.lists(bursty_series(), min_size=1, max_size=4, unique_by=lambda s: s.user),
+    window=st.integers(1, 60),
+    stride=st.integers(1, 45),  # often below the window: overlapping windows
+    eval_horizon=st.none() | st.integers(0, 400),
+    block_windows=st.integers(1, 7),  # a series' windows span several blocks
+)
+def test_block_predictions_equal_the_scalar_reference(
+    params, series_list, window, stride, eval_horizon, block_windows
+):
+    with mock.patch.object(forecast, "BLOCK_WINDOWS", block_windows):
+        points = forecast_points(params, series_list, window=window, stride=stride,
+                                 eval_horizon=eval_horizon, obs_end=600)
+    by_user = {s.user: s for s in series_list}
+    got = [pt.predicted for pt in points]
+    want = [forecast_window(params, by_user[pt.user], pt.window_start, window) for pt in points]
+    assert got == want
+    # bit for bit: forecasts.csv writes -0.0 as "-0"
+    assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
 class TestCalibration:
