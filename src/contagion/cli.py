@@ -20,6 +20,7 @@ from .events import (
     IngestDiagnostics,
     build_graph,
     build_series,
+    gc_paused,
     load_event_log,
     load_follow_edges,
     write_event_log,
@@ -356,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@gc_paused  # every command's bulk data is acyclic
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("CONTAGION_LOG", "WARNING"))
     parser = build_parser()

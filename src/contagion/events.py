@@ -11,14 +11,28 @@ number of users they follow (out-degree).
 
 An id is a JSON string, or an integer read as its decimal text; any other
 JSON value is an EventLogError that names the line.
+
+The loaders stream the file line by line. A line of the common shape (a
+JSON object with ASCII string ids, an integer time in range and a known
+kind) is decoded once and becomes its record directly; every other line goes
+through the reference parser, so what loads and which error names which line
+stay those of the reference. The writers format each line directly, with the
+bytes ``json.dumps`` gives.
+
+Batch entry points run under :func:`gc_paused`: the records they hold in
+bulk form no reference cycles, so the cyclic collector would walk millions
+of objects and free nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import ContagionError, EventLogError
 
@@ -29,6 +43,24 @@ MAX_EXPOSURES = 20
 # Event times and an observation end stay below this: integers are exact as
 # doubles up to it, and the binning pass adds delay edges to times in int64.
 MAX_TIME = 2**53
+
+
+def gc_paused(fn):
+    """Run ``fn`` with cyclic garbage collection off, then restore the caller's state.
+
+    Nested use is a no-op. Reference counting still frees everything the call
+    drops; only reference cycles wait for the next collection.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return wrapper
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,6 +153,41 @@ def _json_lines(path):
                 yield lineno, line
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decoded(line: str):
+    """The line's JSON value when it parses as one value, else None.
+
+    JSON whitespace is only space, tab, newline and carriage return; a line
+    that this rejects goes to the reference parser, which says why.
+    """
+    text = line.strip(" \t\n\r")
+    try:
+        obj, end = _raw_decode(text)
+    except (ValueError, RecursionError):
+        return None
+    return obj if end == len(text) else None
+
+
+def _common_event(line: str) -> Event | None:
+    """The line's Event if it has the common well-formed shape, else None.
+
+    Every line this accepts, :func:`_parse_line` accepts with the same Event:
+    ASCII ids hold no lone surrogate, and an int time in range is kept as is.
+    """
+    obj = _decoded(line)
+    if type(obj) is not dict:
+        return None
+    kind, user, item = obj.get("kind"), obj.get("user"), obj.get("item")
+    time, exposer = obj.get("time"), obj.get("exposer")
+    if (kind in KINDS and type(user) is str and type(item) is str and type(time) is int
+            and 0 <= time < MAX_TIME and user.isascii() and item.isascii()
+            and (exposer is None or type(exposer) is str and exposer.isascii())):
+        return Event(kind, user, item, time, exposer)
+    return None
+
+
 def _id(value, name: str, lineno: int) -> str:
     """A decoded JSON id as text: a string as it is, an integer in decimal."""
     if type(value) is str:
@@ -178,7 +245,8 @@ def load_event_log(
     """Parse an event log, apply :func:`apply_spam_cap`, and sort by time."""
     if diagnostics is None:
         diagnostics = IngestDiagnostics()
-    events = [_parse_line(line, lineno) for lineno, line in _json_lines(path)]
+    events = [_common_event(line) or _parse_line(line, lineno)
+              for lineno, line in _json_lines(path)]
     diagnostics.parsed_events += len(events)
     events = apply_spam_cap(events, max_exposures, diagnostics)
     events.sort(key=lambda ev: ev.time)
@@ -210,34 +278,49 @@ def apply_spam_cap(
     return kept
 
 
+def _event_line(ev: Event) -> str:
+    """The event as ``json.dumps(obj, sort_keys=True)`` writes it, plus a newline."""
+    head = "{" if ev.exposer is None else '{"exposer": ' + _quoted(ev.exposer) + ", "
+    return (f'{head}"item": {_quoted(ev.item)}, "kind": {_quoted(ev.kind)}, '
+            f'"time": {ev.time}, "user": {_quoted(ev.user)}}}\n')
+
+
 def write_event_log(path, events: list[Event]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            obj = {"kind": ev.kind, "user": ev.user, "item": ev.item, "time": ev.time}
-            if ev.exposer is not None:
-                obj["exposer"] = ev.exposer
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.writelines(map(_event_line, events))
+
+
+def _parse_edge(line: str, lineno: int) -> tuple[str, str]:
+    try:
+        obj = json.loads(line)
+        follower, friend = obj["follower"], obj["friend"]
+    except (ValueError, KeyError, RecursionError, TypeError) as exc:  # ValueError: bad JSON
+        raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
+    follower, friend = _id(follower, "follower", lineno), _id(friend, "friend", lineno)
+    if follower == friend:
+        raise EventLogError(f"self-edge not allowed: {follower!r}", line=lineno)
+    return follower, friend
+
+
+def _common_edge(line: str) -> tuple[str, str] | None:
+    """The line's edge if it holds two distinct string ids, else None."""
+    obj = _decoded(line)
+    if type(obj) is dict:
+        follower, friend = obj.get("follower"), obj.get("friend")
+        if type(follower) is str and type(friend) is str and follower != friend:
+            return follower, friend
+    return None
 
 
 def load_follow_edges(path) -> list[tuple[str, str]]:
-    edges = []
-    for lineno, line in _json_lines(path):
-        try:
-            obj = json.loads(line)
-            follower, friend = obj["follower"], obj["friend"]
-        except (ValueError, KeyError, RecursionError, TypeError) as exc:  # ValueError: bad JSON
-            raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
-        follower, friend = _id(follower, "follower", lineno), _id(friend, "friend", lineno)
-        if follower == friend:
-            raise EventLogError(f"self-edge not allowed: {follower!r}", line=lineno)
-        edges.append((follower, friend))
-    return edges
+    return [_common_edge(line) or _parse_edge(line, lineno) for lineno, line in _json_lines(path)]
 
 
 def write_follow_edges(path, graph: FollowerGraph) -> None:
+    """One line per edge in sorted order, as ``json.dumps`` writes it."""
     with open(path, "w", encoding="utf-8") as fh:
-        for follower, friend in sorted(graph.edges):
-            fh.write(json.dumps({"follower": follower, "friend": friend}) + "\n")
+        fh.writelines(f'{{"follower": {_quoted(follower)}, "friend": {_quoted(friend)}}}\n'
+                      for follower, friend in sorted(graph.edges))
 
 
 def build_graph(events: list[Event], follow_edges: list[tuple[str, str]]) -> FollowerGraph:
@@ -260,6 +343,7 @@ def build_graph(events: list[Event], follow_edges: list[tuple[str, str]]) -> Fol
     return FollowerGraph(users=users, edges=edges, friend_count=friend_count)
 
 
+@gc_paused
 def build_series(
     events: list[Event],
     graph: FollowerGraph,

@@ -20,7 +20,7 @@ import numpy as np
 from .atrisk import ModelHazard, block_segments
 from .binning import FLOOR_BIN, log_bin_index
 from .errors import ContagionError
-from .events import MAX_TIME, ExposureSeries
+from .events import MAX_TIME, ExposureSeries, gc_paused
 from .inference import MIN_TRIALS, CalibrationCurve, CalibrationPoint, wmap_error
 from .models import ModelParams
 
@@ -164,6 +164,7 @@ def _blocks(tilings: list[tuple[ExposureSeries, range]]):
         yield block
 
 
+@gc_paused
 def forecast_points(
     params: ModelParams,
     series_list,

@@ -31,6 +31,7 @@ from .atrisk import ModelHazard, _nu
 from .errors import ContagionError
 from .events import (
     KINDS, MAX_EXPOSURES, MAX_TIME, Event, FollowerGraph, apply_spam_cap, build_series,
+    gc_paused,
 )
 from .models import ModelParams
 from .visibility import (
@@ -181,6 +182,7 @@ def user_ids(n: int) -> list[str]:
     return [f"u{i:0{width}d}" for i in range(n)]
 
 
+@gc_paused
 def generate_graph(spec: GraphSpec, seed: int) -> FollowerGraph:
     """Deterministic follower graph with the requested out-degree law."""
     rng = np.random.default_rng([seed, 0, 0])
@@ -380,6 +382,7 @@ def _simulate_item(
             broadcast(user, t)
 
 
+@gc_paused
 def simulate_cascades(truth: GroundTruth, graph: FollowerGraph | None = None) -> list[Event]:
     """Full synthetic event log; byte-identical given the same seed.
 
@@ -492,6 +495,7 @@ class RecoveryReport:
         return lines
 
 
+@gc_paused
 def recovery_experiment(
     truth: GroundTruth,
     max_exposures: int = MAX_EXPOSURES,
