@@ -12,12 +12,13 @@ number of users they follow (out-degree).
 An id is a JSON string, or an integer read as its decimal text; any other
 JSON value is an EventLogError that names the line.
 
-The loaders stream the file line by line. A line of the common shape (a
-JSON object with ASCII string ids, an integer time in range and a known
-kind) is decoded once and becomes its record directly; every other line goes
-through the reference parser, so what loads and which error names which line
-stay those of the reference. The writers format each line directly, with the
-bytes ``json.dumps`` gives.
+The loaders stream the file line by line and decode each line once. An
+event line of the common shape (a JSON object with ASCII string ids, an
+integer time in range and a known kind) becomes its Event without the
+checks the other lines need; a line that does not parse is handed to
+``json.loads`` for its error. So what loads and which error names which line
+stay those of ``json.loads`` and the checks. The writers format each line
+directly, with the bytes ``json.dumps`` gives.
 
 Batch entry points run under :func:`gc_paused`: the records they hold in
 bulk form no reference cycles, so the cyclic collector would walk millions
@@ -156,36 +157,20 @@ def _json_lines(path):
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _decoded(line: str):
-    """The line's JSON value when it parses as one value, else None.
+def _loads(line: str):
+    """``json.loads(line)``, with one C-level decode for a line that parses.
 
-    JSON whitespace is only space, tab, newline and carriage return; a line
-    that this rejects goes to the reference parser, which says why.
+    JSON whitespace is only space, tab, newline and carriage return. A line
+    that does not parse goes to ``json.loads``, which raises its own error.
     """
     text = line.strip(" \t\n\r")
     try:
         obj, end = _raw_decode(text)
+        if end == len(text):
+            return obj
     except (ValueError, RecursionError):
-        return None
-    return obj if end == len(text) else None
-
-
-def _common_event(line: str) -> Event | None:
-    """The line's Event if it has the common well-formed shape, else None.
-
-    Every line this accepts, :func:`_parse_line` accepts with the same Event:
-    ASCII ids hold no lone surrogate, and an int time in range is kept as is.
-    """
-    obj = _decoded(line)
-    if type(obj) is not dict:
-        return None
-    kind, user, item = obj.get("kind"), obj.get("user"), obj.get("item")
-    time, exposer = obj.get("time"), obj.get("exposer")
-    if (kind in KINDS and type(user) is str and type(item) is str and type(time) is int
-            and 0 <= time < MAX_TIME and user.isascii() and item.isascii()
-            and (exposer is None or type(exposer) is str and exposer.isascii())):
-        return Event(kind, user, item, time, exposer)
-    return None
+        pass
+    return json.loads(line)
 
 
 def _id(value, name: str, lineno: int) -> str:
@@ -199,7 +184,7 @@ def _id(value, name: str, lineno: int) -> str:
 
 def _parse_line(line: str, lineno: int) -> Event:
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
     except json.JSONDecodeError as exc:
         raise EventLogError(f"invalid JSON: {exc.msg}", line=lineno) from exc
     except ValueError as exc:  # an integer past int's digit limit
@@ -208,7 +193,13 @@ def _parse_line(line: str, lineno: int) -> Event:
         raise EventLogError("JSON nested too deeply", line=lineno) from exc
     if not isinstance(obj, dict):
         raise EventLogError("event must be a JSON object", line=lineno)
-    kind = obj.get("kind")
+    kind, user, item = obj.get("kind"), obj.get("user"), obj.get("item")
+    time, exposer = obj.get("time"), obj.get("exposer")
+    # The common shape needs none of the checks below: ASCII ids hold no lone surrogate.
+    if (kind in KINDS and type(user) is str and type(item) is str and type(time) is int
+            and 0 <= time < MAX_TIME and user.isascii() and item.isascii()
+            and (exposer is None or type(exposer) is str and exposer.isascii())):
+        return Event(kind, user, item, time, exposer)
     if kind not in KINDS:
         raise EventLogError(f"unknown kind {kind!r}", line=lineno)
     try:
@@ -226,7 +217,6 @@ def _parse_line(line: str, lineno: int) -> Event:
     time = int(raw_time)  # sub-second stamps truncate to whole seconds
     if time >= MAX_TIME:
         raise EventLogError(f"time {raw_time!r} is not below 2**53", line=lineno)
-    exposer = obj.get("exposer")
     if exposer is not None:
         exposer = _id(exposer, "exposer", lineno)
     try:  # a JSON escape can smuggle in a lone surrogate, which no file can hold
@@ -245,8 +235,7 @@ def load_event_log(
     """Parse an event log, apply :func:`apply_spam_cap`, and sort by time."""
     if diagnostics is None:
         diagnostics = IngestDiagnostics()
-    events = [_common_event(line) or _parse_line(line, lineno)
-              for lineno, line in _json_lines(path)]
+    events = [_parse_line(line, lineno) for lineno, line in _json_lines(path)]
     diagnostics.parsed_events += len(events)
     events = apply_spam_cap(events, max_exposures, diagnostics)
     events.sort(key=lambda ev: ev.time)
@@ -292,7 +281,7 @@ def write_event_log(path, events: list[Event]) -> None:
 
 def _parse_edge(line: str, lineno: int) -> tuple[str, str]:
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
         follower, friend = obj["follower"], obj["friend"]
     except (ValueError, KeyError, RecursionError, TypeError) as exc:  # ValueError: bad JSON
         raise EventLogError(f"invalid graph line: {exc}", line=lineno) from exc
@@ -302,18 +291,8 @@ def _parse_edge(line: str, lineno: int) -> tuple[str, str]:
     return follower, friend
 
 
-def _common_edge(line: str) -> tuple[str, str] | None:
-    """The line's edge if it holds two distinct string ids, else None."""
-    obj = _decoded(line)
-    if type(obj) is dict:
-        follower, friend = obj.get("follower"), obj.get("friend")
-        if type(follower) is str and type(friend) is str and follower != friend:
-            return follower, friend
-    return None
-
-
 def load_follow_edges(path) -> list[tuple[str, str]]:
-    return [_common_edge(line) or _parse_edge(line, lineno) for lineno, line in _json_lines(path)]
+    return [_parse_edge(line, lineno) for lineno, line in _json_lines(path)]
 
 
 def write_follow_edges(path, graph: FollowerGraph) -> None:

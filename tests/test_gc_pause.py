@@ -8,6 +8,7 @@ library function leaves no cyclic garbage on a small fixture, and the few
 cycles one CLI command leaves behind do not grow with the size of the log.
 """
 
+import dataclasses
 import gc
 import json
 from contextlib import contextmanager
@@ -130,7 +131,7 @@ def _command_garbage(tmp_path, items: int) -> tuple[dict[str, int], int]:
     """Cyclic garbage of each CLI command, and the number of events, for ``items`` items."""
     config = tmp_path / f"truth{items}.json"
     config.write_text(json.dumps(truth(items).to_json_dict()), encoding="utf-8")
-    dirs = {name: tmp_path / f"{name}{items}" for name in ("sim", "fit", "fc")}
+    dirs = {name: tmp_path / f"{name}{items}" for name in ("sim", "fit", "enh", "fc", "cal")}
     for path in dirs.values():
         path.mkdir()
     inputs = ["--events", str(dirs["sim"] / "events.jsonl"),
@@ -139,8 +140,12 @@ def _command_garbage(tmp_path, items: int) -> tuple[dict[str, int], int]:
         "simulate": ["simulate", "--config", str(config), "--out", str(dirs["sim"])],
         "fit": ["fit", *inputs, "--trf-horizon", "1024", "--min-fit-responses", "1",
                 "--out", str(dirs["fit"])],
+        "enhance": ["enhance", *inputs, "--model", str(dirs["fit"] / "model.json"),
+                    "--cohorts", "1-2,30-30", "--out", str(dirs["enh"])],
         "forecast": ["forecast", *inputs, "--model", str(dirs["fit"] / "model.json"),
                      "--eval-horizon", "120", "--out", str(dirs["fc"])],
+        "calibrate": ["calibrate", "--forecasts", str(dirs["fc"] / "forecasts.csv"),
+                      "--out", str(dirs["cal"])],
     }
     codes = {}
     garbage = {name: cyclic_garbage(lambda: codes.setdefault(name, main(argv)))
@@ -155,3 +160,32 @@ def test_cli_cyclic_garbage_does_not_grow_with_the_log(tmp_path):
     large, large_events = _command_garbage(tmp_path, 36)
     assert large_events > 2 * small_events
     assert large == small
+
+
+def recoverable_truth(items: int) -> GroundTruth:
+    """A digg truth with enough responses for ``validate``'s default fit thresholds."""
+    t = truth(items, "digg")
+    trf = TrfBundle(*(synthetic_trf(label, 1024, gamma=0.0) for label in ("T1", "T10", "T100")),
+                    site="digg")
+    return dataclasses.replace(
+        t,
+        params=dataclasses.replace(
+            t.params, trf=trf, enhancement=EnhancementTable(values={1: 1.0, 2: 1.5}, saturates=True)),
+        graph=GraphSpec(users=1600, kind="bands",
+                        bands=((800, 1, 2), (300, 9, 11), (350, 30, 30), (120, 90, 110))),
+        seeding=Seeding(items=items, posters_per_item=160, post_time_spread=40),
+        rng_seed=11,
+    )
+
+
+def test_validate_cyclic_garbage_does_not_grow_with_the_run(tmp_path):
+    codes, garbage = [], []
+    for items in (36, 108):
+        config = tmp_path / f"truth{items}.json"
+        config.write_text(json.dumps(recoverable_truth(items).to_json_dict()), encoding="utf-8")
+        out = tmp_path / f"val{items}"
+        out.mkdir()
+        argv = ["validate", "--config", str(config), "--trf-horizon", "1024", "--out", str(out)]
+        garbage.append(cyclic_garbage(lambda: codes.append(main(argv))))
+    assert codes == [0, 0]
+    assert garbage[0] == garbage[1]
