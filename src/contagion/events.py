@@ -12,11 +12,14 @@ number of users they follow (out-degree).
 An id is a JSON string, or an integer read as its decimal text; any other
 JSON value is an EventLogError that names the line.
 
-The loaders stream the file line by line and decode each line once. An
-event line of the common shape (a JSON object with ASCII string ids, an
-integer time in range and a known kind) becomes its Event without the
-checks the other lines need; a line that does not parse is handed to
-``json.loads`` for its error. So what loads and which error names which line
+A graph file whose every line has the writer's shape (ids with no quote,
+backslash or control character, no self-edge, each line ending in a line
+feed) is parsed in one regex pass over the decoded file; any other graph
+file, and every event log, goes line by line. The line-by-line loaders
+decode each line once. An event line of the common shape (a JSON object
+with ASCII string ids, an integer time in range and a known kind) becomes
+its Event without the checks the other lines need; a line that does not
+parse is handed to ``json.loads`` for its error. So what loads and which error names which line
 stay those of ``json.loads`` and the checks. The writers format each line
 directly, with the bytes ``json.dumps`` gives.
 
@@ -31,6 +34,7 @@ import functools
 import gc
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quoted
@@ -142,16 +146,16 @@ class IngestDiagnostics:
     exposures_in_series: int = 0
 
 
-def _json_lines(path):
-    """Yield ``(line number, text)`` per non-blank line; bad UTF-8 is an EventLogError."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EventLogError(f"invalid UTF-8: {exc.reason}", line=lineno) from exc
-            if line.strip():
-                yield lineno, line
+def _json_lines(raw_lines):
+    """Yield ``(line number, text)`` per non-blank line of a binary file's lines;
+    bad UTF-8 is an EventLogError."""
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EventLogError(f"invalid UTF-8: {exc.reason}", line=lineno) from exc
+        if line.strip():
+            yield lineno, line
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -235,7 +239,8 @@ def load_event_log(
     """Parse an event log, apply :func:`apply_spam_cap`, and sort by time."""
     if diagnostics is None:
         diagnostics = IngestDiagnostics()
-    events = [_parse_line(line, lineno) for lineno, line in _json_lines(path)]
+    with open(path, "rb") as fh:
+        events = [_parse_line(line, lineno) for lineno, line in _json_lines(fh)]
     diagnostics.parsed_events += len(events)
     events = apply_spam_cap(events, max_exposures, diagnostics)
     events.sort(key=lambda ev: ev.time)
@@ -291,8 +296,29 @@ def _parse_edge(line: str, lineno: int) -> tuple[str, str]:
     return follower, friend
 
 
+# A graph line as write_follow_edges writes it, with ids that decode as they stand
+# (no quote, no backslash, no control character) and a friend that is not the follower.
+_WRITER_EDGE = re.compile(
+    r'^\{"follower": "([^"\\\x00-\x1f]*)", "friend": "(?!\1")([^"\\\x00-\x1f]*)"\}$', re.M)
+
+
 def load_follow_edges(path) -> list[tuple[str, str]]:
-    return [_parse_edge(line, lineno) for lineno, line in _json_lines(path)]
+    """The (follower, friend) edges of a graph file, in file order.
+
+    A file whose every line has the writer's shape is parsed in one regex
+    pass; any other file goes line by line, so each error names its line.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        text = ""
+    if text.endswith("\n"):
+        edges = _WRITER_EDGE.findall(text)
+        if len(edges) == text.count("\n"):  # every line matched
+            return edges
+    with open(path, "rb") as fh:
+        return [_parse_edge(line, lineno) for lineno, line in _json_lines(fh)]
 
 
 def write_follow_edges(path, graph: FollowerGraph) -> None:

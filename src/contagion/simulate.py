@@ -8,9 +8,13 @@ and delay-bin edges the hazard is constant, so response times come from
 geometric draws over those segments, and a newly arriving exposure simply
 invalidates and re-samples the scheduled draw. A message arriving in second s
 counts toward the exposure badge from s onward and gains visibility from
-s + 1. Duplicate same-second exposures of one user to one item collapse until
-the user responds; after that they are logged uncollapsed, and
-:func:`events.build_series` removes them and counts them in
+s + 1. Where every exposure drives visibility, a first exposure's runs depend
+only on the friend count, so they are memoized per friend count in delay
+space, and the draws skip the first-success formula for a run whose draw lies
+at or above an exact cut-off (:func:`_draw_cut`); neither changes the draws
+or the result. Duplicate same-second exposures of one user to one item
+collapse until the user responds; after that they are logged uncollapsed,
+and :func:`events.build_series` removes them and counts them in
 ``IngestDiagnostics.duplicate_exposures``.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from itertools import count
@@ -237,6 +241,8 @@ class _Hazard(ModelHazard):
         # first-exposure-driven hazard factorizes: cache, per (n_f, n_e), the
         # runs in delay space with their log-survival prefixes
         self._prefix: dict[tuple[int, int], tuple[list[int], list[float], list[float]]] = {}
+        # per n_f, a lone exposure's runs in delay space (see _first_runs)
+        self._first: dict[int, tuple[list[int], list[float], list[float], list[float]]] = {}
 
     def _digg_prefix(self, n_f: int, n_e: int):
         """(bounds, cum, slopes): run bounds in delay space, log-survival at
@@ -256,6 +262,24 @@ class _Hazard(ModelHazard):
         out = self._prefix[key] = (bounds, cum, slopes)
         return out
 
+    def _first_runs(self, n_f: int):
+        """(bounds, lams, slopes, cuts) of one exposure at delay 0, in delay space.
+
+        Run k covers delays [bounds[k], bounds[k + 1]), the last one without
+        end, at hazard lams[k]; slopes[k] is ``math.log1p(-lams[k])`` where
+        0 < lam < 1, and cuts[k] is the run's :func:`_draw_cut`.
+        """
+        hit = self._first.get(n_f)
+        if hit is not None:
+            return hit
+        runs = self.runs(n_f, (0,), 0, 1 << 62)
+        bounds = [a for a, _, _ in runs] + [runs[-1][1]]
+        lams = [lam for _, _, lam in runs]
+        slopes = [0.0 if lam <= 0.0 or lam >= 1.0 else math.log1p(-lam) for lam in lams]
+        cuts = [_draw_cut(b - a, lam) for a, b, lam in runs]
+        out = self._first[n_f] = (bounds, lams, slopes, cuts)
+        return out
+
     def arrival_rates(self, n_f: int, exposures: list[int], t: int) -> tuple[float, float]:
         """Hazard at second t before and after an exposure arrives; ``exposures`` precede t.
 
@@ -271,12 +295,34 @@ class _Hazard(ModelHazard):
         """The response second drawn from ``start`` on, or None past the horizon.
 
         A site whose visibility follows every exposure draws each hazard run
-        in turn. On a first-driven site one uniform resolves the whole
-        schedule by inverse transform against the cached log-survival prefix;
-        O(bins) scan, no per-run draws.
+        in turn, as :func:`_sample_response` does. A lone exposure sampled
+        from its own second reads its runs from the per-n_f memo
+        (:meth:`_first_runs`), shifted to that second, with the last one
+        clipped to the horizon. There the first-success formula runs only
+        for a draw u below its run's :func:`_draw_cut`: since
+        -log(1 - u) >= u, a draw at or above it would give a success no
+        earlier than the run's end, so the skip changes no result and the
+        draws are the same. On a first-driven site one uniform resolves the
+        whole schedule by inverse transform against the cached log-survival
+        prefix; O(bins) scan, no per-run draws.
         """
         if not self.first_driven:
-            return _sample_response(self.runs(n_f, exposures, start, self.horizon + 1), rng)
+            if len(exposures) != 1 or start != exposures[0]:
+                return _sample_response(self.runs(n_f, exposures, start, self.horizon + 1), rng)
+            bounds, lams, slopes, cuts = self._first_runs(n_f)
+            stop = self.horizon + 1 - start  # the horizon's end in delay space
+            n = bisect_left(bounds, stop, 0, len(lams))  # runs that start before it
+            if not n:
+                return None
+            for k, u in enumerate(rng.random(n).tolist()):
+                if u < cuts[k]:
+                    a = bounds[k]
+                    if lams[k] >= 1.0:
+                        return start + a
+                    j = int(math.log(1.0 - u) / slopes[k])  # 1-u in (0, 1]
+                    if a + j < (bounds[k + 1] if k + 1 < n else stop):
+                        return start + a + j
+            return None
         t1 = exposures[0]
         bounds, cum, slopes = self._digg_prefix(n_f, len(exposures))
         d0 = start - t1
@@ -295,6 +341,23 @@ class _Hazard(ModelHazard):
                 s = t1 + d
                 return s if s <= self.horizon else None
         return None
+
+
+def _draw_cut(n: int, lam: float) -> float:
+    """A bound on the draws whose first success falls within a run of n seconds at lam.
+
+    A draw u at or above it, a multiple of 2**-53 as numpy's are, has
+    ``int(math.log(1 - u) / math.log1p(-lam)) >= n``: 1 - u is exact and
+    -log(1 - u) >= u, so the quotient is at least u / -log1p(-lam), and the
+    factor 1 + 1e-9 absorbs the few ulp by which the log, the division and
+    this product may err. It is 0.0 (no draw) where lam <= 0 and 2.0 (every
+    draw) where lam >= 1 or is NaN.
+    """
+    if lam <= 0.0:
+        return 0.0
+    if lam < 1.0:
+        return n * -math.log1p(-lam) * (1.0 + 1e-9)
+    return 2.0
 
 
 def _sample_response(segments, rng) -> int | None:

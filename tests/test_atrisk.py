@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from contagion import atrisk
 from contagion.atrisk import ModelHazard, visibility_segments
 from contagion.models import EnhancementTable, ModelParams, digg_probability, twitter_probability
-from contagion.simulate import _Hazard, synthetic_trf
+from contagion.simulate import _Hazard, _draw_cut, _sample_response, synthetic_trf
 from contagion.visibility import SITES, SusceptibilityCurve, SusceptibilityForm, TrfBundle
 
 DIGG_CONSTANTS = {"A": 7.6e-3, "B": -6.2e-2, "C": 1.7e-3, "D": 3.7, "E": 17.8}
@@ -18,13 +18,13 @@ TWITTER_CONSTANTS = {"A": 0.2, "P": 1.0, "B": 1.0}
 GRID = 64  # delays past the grid's support fall back to the floor
 
 
-def make_params(site: str, p0: float) -> ModelParams:
+def make_params(site: str, p0: float, log_v_min: float = -9.0) -> ModelParams:
     form = SusceptibilityForm.DIGG if site == "digg" else SusceptibilityForm.TWITTER
     constants = DIGG_CONSTANTS if site == "digg" else TWITTER_CONSTANTS
     return ModelParams(
         site=site,
         p0=p0,
-        log_v_min=-9.0,
+        log_v_min=log_v_min,
         enhancement=EnhancementTable(values={1: 1.0, 2: 1.5, 3: 0.7}, saturates=True),
         susceptibility=SusceptibilityCurve(form=form, params=dict(constants)),
         trf=TrfBundle(
@@ -174,6 +174,54 @@ def test_twitter_arrival_rates_equal_rate_at(p0, n_f, arrival):
     assert hz.arrival_rates(n_f, exposures, t) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    p0=st.sampled_from([0.05, 0.6, 5.0, 40.0, 1e5]),  # 1e5 clamps the hazard at 1
+    log_v_min=st.sampled_from([-9.0, -2.0, -math.inf]),  # -inf: hazard 0 where nu is
+    n_f=st.sampled_from([1, 3, 10, 37, 100, 150]),
+    exposures=st.lists(st.integers(0, 200), min_size=1, max_size=4, unique=True).map(sorted),
+    first=st.booleans(),  # sample a lone exposure from its own second
+    offset=st.integers(-5, 300),
+    # the horizon's delay from the start: before it, inside the delay support, past it
+    delay=st.integers(-3, 2 * GRID) | st.integers(2 * GRID, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_twitter_sample_matches_the_reference(p0, log_v_min, n_f, exposures, first, offset,
+                                              delay, seed):
+    if first:
+        exposures = exposures[:1]
+        start = exposures[0]
+    else:
+        start = exposures[-1] + offset
+    horizon = max(start + delay, 1)
+    hz = _Hazard(make_params("twitter", p0, log_v_min), horizon)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = hz.sample(n_f, exposures, start, got_rng)
+    want = _sample_response(hz.runs(n_f, exposures, start, horizon + 1), want_rng)
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # the same call again reads the memo warm
+    again = np.random.default_rng(seed)
+    assert hz.sample(n_f, exposures, start, again) == want
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-9, 1e-3, 0.1, 0.5,
+                                 0.9, 0.999, 1 - 1e-9, 1 - 1e-16])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 2**20 + 1, 2**33, 2**40])
+def test_draws_at_the_cut_cannot_succeed_within_the_run(lam, n):
+    """A draw at or above a run's cut gives a first success no earlier than its end.
+
+    Draws are multiples of 2**-53; the two checked are the first at or above
+    the cut and the one after it.
+    """
+    cut = _draw_cut(n, lam)
+    first_draw = math.ceil(cut * 2**53)
+    for k in (first_draw, first_draw + 1):
+        u = k / 2**53
+        if u < 1.0:
+            assert int(math.log(1.0 - u) / math.log1p(-lam)) >= n, (lam, n, u)
+
+
 class _NoLookup:
     """A site table whose every lookup fails."""
 
@@ -188,6 +236,8 @@ def _hazard_calls(hz: _Hazard) -> list:
         [rate_at(hz, 10, exposures, s) for s in (0, 5, 8, 9, 12, 40, 41, 100)],
         hz.arrival_rates(10, exposures[:2], 40),
         [hz.sample(10, exposures, 10, np.random.default_rng(seed)) for seed in range(20)],
+        # a lone exposure from its own second, with the memo cold and then warm
+        [hz.sample(10, exposures[:1], 5, np.random.default_rng(seed)) for seed in range(20)],
     ]
 
 

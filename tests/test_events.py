@@ -487,11 +487,17 @@ event_files = jsonl_files(
     json_lines(("kind", "user", "item", "time", "exposer")),
 )
 few_ids = st.sampled_from(SAMPLE_IDS[:3])  # self-edges are frequent
+# ids as they stand between the quotes of a line in write_follow_edges' shape, some
+# of them escapes or text the writer would escape
+writer_ids = st.sampled_from(SAMPLE_IDS[:3] + ["\u00e9", '\\"', "\\u0061", "\x7f", "\t", "a\r"])
+writer_lines = st.tuples(writer_ids, writer_ids).map(
+    lambda ids: '{{"follower": "{}", "friend": "{}"}}'.format(*ids).encode("utf-8"))
 graph_files = jsonl_files(
-    object_line({"follower": few_ids, "friend": few_ids})
+    writer_lines
+    | object_line({"follower": few_ids, "friend": few_ids})
     | object_line({"follower": line_ids, "friend": line_ids}),
     json_lines(("follower", "friend")),
-)
+) | st.lists(writer_lines, max_size=6).map(lambda lines: b"".join(l + b"\n" for l in lines))
 
 EQUIVALENCE = settings(max_examples=500, deadline=None,
                        suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -531,6 +537,14 @@ def test_event_log_loader_matches_the_reference(codec_dir, data, max_exposures):
 @example(data=b'{"follower": "a", "friend": "a"}\n')
 @example(data=b'{"follower": "a", "friend": "b", "friend": "a"}\r\n')
 @example(data=b'{"follower": "\\ud800", "friend": "b"}\n')
+@example(data=b'{"follower": "a", "friend": "b"}\n{"follower": "b", "friend": "a"}\n'
+              b'{"follower": "a", "friend": "a"}\n')
+@example(data=b'{"follower": "a", "friend": "b"}\n{"follower": "b", "friend": "a"}')
+@example(data=b'{"follower": 7, "friend": "b"\n{"follower": "b", "friend": "a"}')
+@example(data=b'{"follower": "a", "friend": "b"}\n\n{"follower": "b", "friend": "a"}\n')
+@example(data=b'{"follower": "a", "friend": "b"}\r\n{"follower": "b", "friend": "a"}\r\n')
+@example(data='{"follower": "\u00e9", "friend": "\x7f"}\n'.encode("utf-8"))
+@example(data=b'{"follower": "q\\"", "friend": "b"}\n')
 def test_graph_loader_matches_the_reference(codec_dir, data):
     path = codec_dir / "graph.jsonl"
     path.write_bytes(data)
