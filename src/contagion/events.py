@@ -15,13 +15,14 @@ JSON value is an EventLogError that names the line.
 A graph file whose every line has the writer's shape (ids with no quote,
 backslash or control character, no self-edge, each line ending in a line
 feed) is parsed in one regex pass over the decoded file; any other graph
-file, and every event log, goes line by line. The line-by-line loaders
-decode each line once. An event line of the common shape (a JSON object
-with ASCII string ids, an integer time in range and a known kind) becomes
-its Event without the checks the other lines need; a line that does not
-parse is handed to ``json.loads`` for its error. So what loads and which error names which line
-stay those of ``json.loads`` and the checks. The writers format each line
-directly, with the bytes ``json.dumps`` gives.
+file, and every event log, goes line by line, after at most one extra read
+of a graph file. The line-by-line loaders decode each line once. An event
+line of the common shape (a JSON object with ASCII string ids, an integer
+time in range and a known kind) becomes its Event without the checks the
+other lines need; a line that does not parse is handed to ``json.loads``
+for its error. So what loads and which error names which line stay those
+of ``json.loads`` and the checks. The writers format each line directly,
+with the bytes ``json.dumps`` gives.
 
 Batch entry points run under :func:`gc_paused`: the records they hold in
 bulk form no reference cycles, so the cyclic collector would walk millions
@@ -146,16 +147,16 @@ class IngestDiagnostics:
     exposures_in_series: int = 0
 
 
-def _json_lines(raw_lines):
-    """Yield ``(line number, text)`` per non-blank line of a binary file's lines;
-    bad UTF-8 is an EventLogError."""
-    for lineno, raw in enumerate(raw_lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EventLogError(f"invalid UTF-8: {exc.reason}", line=lineno) from exc
-        if line.strip():
-            yield lineno, line
+def _json_lines(path):
+    """Yield ``(line number, text)`` per non-blank line; bad UTF-8 is an EventLogError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EventLogError(f"invalid UTF-8: {exc.reason}", line=lineno) from exc
+            if line.strip():
+                yield lineno, line
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -239,8 +240,7 @@ def load_event_log(
     """Parse an event log, apply :func:`apply_spam_cap`, and sort by time."""
     if diagnostics is None:
         diagnostics = IngestDiagnostics()
-    with open(path, "rb") as fh:
-        events = [_parse_line(line, lineno) for lineno, line in _json_lines(fh)]
+    events = [_parse_line(line, lineno) for lineno, line in _json_lines(path)]
     diagnostics.parsed_events += len(events)
     events = apply_spam_cap(events, max_exposures, diagnostics)
     events.sort(key=lambda ev: ev.time)
@@ -302,23 +302,37 @@ _WRITER_EDGE = re.compile(
     r'^\{"follower": "([^"\\\x00-\x1f]*)", "friend": "(?!\1")([^"\\\x00-\x1f]*)"\}$', re.M)
 
 
+def _writer_edges(path) -> list[tuple[str, str]] | None:
+    """The edges of a file whose every line has the writer's shape, else None.
+
+    The first line decides whether the file is read in full, and a backslash
+    anywhere (an escaped id) whether it is scanned, so a file of another shape
+    costs one decoded chunk, or one read, before the per-line path.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if not _WRITER_EDGE.match(fh.readline()):
+                return None
+            fh.seek(0)
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if "\\" in text or not text.endswith("\n"):
+        return None
+    edges = _WRITER_EDGE.findall(text)
+    return edges if len(edges) == text.count("\n") else None  # every line matched
+
+
 def load_follow_edges(path) -> list[tuple[str, str]]:
     """The (follower, friend) edges of a graph file, in file order.
 
     A file whose every line has the writer's shape is parsed in one regex
     pass; any other file goes line by line, so each error names its line.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        text = ""
-    if text.endswith("\n"):
-        edges = _WRITER_EDGE.findall(text)
-        if len(edges) == text.count("\n"):  # every line matched
-            return edges
-    with open(path, "rb") as fh:
-        return [_parse_edge(line, lineno) for lineno, line in _json_lines(fh)]
+    edges = _writer_edges(path)
+    if edges is None:
+        edges = [_parse_edge(line, lineno) for lineno, line in _json_lines(path)]
+    return edges
 
 
 def write_follow_edges(path, graph: FollowerGraph) -> None:

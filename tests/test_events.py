@@ -545,6 +545,9 @@ def test_event_log_loader_matches_the_reference(codec_dir, data, max_exposures):
 @example(data=b'{"follower": "a", "friend": "b"}\r\n{"follower": "b", "friend": "a"}\r\n')
 @example(data='{"follower": "\u00e9", "friend": "\x7f"}\n'.encode("utf-8"))
 @example(data=b'{"follower": "q\\"", "friend": "b"}\n')
+@example(data=b'{"follower": "a", "friend": "b"}\n{"follower": "\\u00e9", "friend": "a"}\n')
+@example(data=b'{"follower": 7, "friend": "b"}\n{"follower": "b", "friend": "a"}\n')
+@example(data=b'\xef\xbb\xbf{"follower": "a", "friend": "b"}\n')
 def test_graph_loader_matches_the_reference(codec_dir, data):
     path = codec_dir / "graph.jsonl"
     path.write_bytes(data)
